@@ -2,7 +2,8 @@
 """Sweep the Tikhonov weight on the perturbed cumulative-operator problem.
 
 Prints residual, solution norm, and sup-deviation from the true constant
-solution across a dense lambda grid, plus the discrepancy-selected lambda.
+solution across a dense lambda grid, plus the lambda the discrepancy
+principle selects for the Euclidean norm of the data perturbation.
 The sup-deviation column shows the floor near 0.82: the oscillation shrinks
 as lambda grows, but every filtered solution sags toward zero at y = 1
 because the operator's right singular vectors all vanish there, so the two
@@ -16,7 +17,7 @@ import argparse
 import numpy as np
 
 from illposed.errors import NoSolutionError
-from illposed.fredholm import oscillation_delta, ramp_problem, solve_unregularized
+from illposed.fredholm import Grid, oscillation_delta, ramp_problem, ramp_rhs, solve_unregularized
 from illposed.regularization import discrepancy_select, tikhonov_solve
 
 
@@ -30,6 +31,7 @@ def main() -> None:
     problem = ramp_problem(args.n, args.n_osc)
     k, d = problem.operator, problem.rhs
     delta = oscillation_delta(args.n_osc)
+    noise = float(np.linalg.norm(d - ramp_rhs(Grid(args.n))))
     interior = int(0.9 * args.n)
 
     unreg = solve_unregularized(problem)
@@ -52,10 +54,10 @@ def main() -> None:
     print(f"best sup|f-1| over the sweep: {best[0]:.4f} at lambda = {best[1]:.3e}")
 
     try:
-        lam = discrepancy_select(k, d, noise_level=delta, tau=1.0)
+        lam = discrepancy_select(k, d, noise_level=noise, tau=1.0)
         f = tikhonov_solve(k, d, lam)
         print(
-            f"discrepancy (target residual = delta): lambda = {lam:.3e}, "
+            f"discrepancy (target residual = ||e||_2 = {noise:.4f}): lambda = {lam:.3e}, "
             f"sup|f-1| = {np.max(np.abs(f - 1)):.4f}"
         )
     except NoSolutionError as exc:

@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--k", type=int, default=None, help="TSVD truncation level")
     p.add_argument("--noise", type=float, default=None,
-                   help="noise level: select lambda by the discrepancy principle")
+                   help="Euclidean norm of the data error: select lambda by the "
+                   "discrepancy principle")
     p.add_argument("--tau", type=float, default=1.0, help="discrepancy safety factor")
     p.add_argument("--out", default=None, help="write the solution CSV here")
 
@@ -57,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="also solve with this Tikhonov weight")
     p.add_argument("--noise", type=float, default=None,
-                   help="also solve with a discrepancy-selected Tikhonov weight")
+                   help="Euclidean norm of the data error: also solve with a "
+                   "discrepancy-selected Tikhonov weight")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--out", default=None, help="write the plot CSV here")
 
@@ -141,28 +143,19 @@ def _cmd_solve(args) -> int:
         "residual": float(np.linalg.norm(a.matrix @ x - d)),
         "solution_norm": float(np.linalg.norm(x)),
     }
-    csv_text = vector_to_csv(x)
-    if args.out is None:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(json_flat(report))
-    else:
-        _emit(csv_text, args.out)
-        sys.stdout.write(json_flat(report))
+    _emit(vector_to_csv(x), args.out)
+    sys.stdout.write(json_flat(report))
     return 0
 
 
 def _cmd_fredholm_demo(args) -> int:
     if args.lam is not None and args.noise is not None:
         raise InvalidInputError("--lambda and --noise are mutually exclusive")
-    result = fredholm.run_instability_experiment(args.n, args.n_osc)
-    grid = fredholm.Grid(args.n)
-    problem = fredholm.ramp_problem(args.n, args.n_osc)
-    clean = fredholm.ramp_rhs(grid)
-    recovered = fredholm.solve_unregularized(problem)
+    grid, clean, rhs, recovered, result = fredholm._perturbed_solve(args.n, args.n_osc)
     analytic = fredholm.analytic_perturbed_solution(grid, args.n_osc)
 
     header = ["y", "F_unperturbed", "F_perturbed", "f_recovered", "f_analytic"]
-    columns = [grid.points, clean, problem.rhs, recovered, analytic]
+    columns = [grid.points, clean, rhs, recovered, analytic]
     summary = {
         "rhs_dev": result.rhs_dev,
         "sol_dev": result.sol_dev,
@@ -170,25 +163,20 @@ def _cmd_fredholm_demo(args) -> int:
         "delta": result.delta,
     }
     if args.lam is not None or args.noise is not None:
-        k = problem.operator
+        k = fredholm.heaviside_operator(args.n)
         lam = (
             args.lam
             if args.lam is not None
-            else regularization.discrepancy_select(k, problem.rhs, args.noise, args.tau)
+            else regularization.discrepancy_select(k, rhs, args.noise, args.tau)
         )
-        regularized = regularization.tikhonov_solve(k, problem.rhs, lam)
+        regularized = regularization.tikhonov_solve(k, rhs, lam)
         header.append("f_regularized")
         columns.append(regularized)
         summary["lambda"] = lam
         summary["regularized_sup_deviation"] = float(np.max(np.abs(regularized - 1.0)))
 
-    csv_text = table_to_csv(header, columns)
-    if args.out is None:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(json_flat(summary))
-    else:
-        _emit(csv_text, args.out)
-        sys.stdout.write(json_flat(summary))
+    _emit(table_to_csv(header, columns), args.out)
+    sys.stdout.write(json_flat(summary))
     return 0
 
 
@@ -231,13 +219,8 @@ def _cmd_influence(args) -> int:
         ),
         "asymptotic_variance": profile.asymptotic_variance,
     }
-    csv_text = table_to_csv(["probe", "influence"], [profile.probe_points, profile.values])
-    if args.out is None:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(json_flat(summary))
-    else:
-        _emit(csv_text, args.out)
-        sys.stdout.write(json_flat(summary))
+    _emit(table_to_csv(["probe", "influence"], [profile.probe_points, profile.values]), args.out)
+    sys.stdout.write(json_flat(summary))
     return 0
 
 

@@ -160,25 +160,34 @@ def run_instability_experiment(n: int, n_osc: int) -> InstabilityResult:
     without bound as the perturbation shrinks.  Requires h <= delta/10 so
     the grid resolves the oscillation instead of aliasing it.
     """
+    return _perturbed_solve(n, n_osc)[-1]
+
+
+def _perturbed_solve(n: int, n_osc: int):
+    """``(grid, clean rhs, perturbed rhs, solution, result)`` in O(n) memory.
+
+    The solve is the first differencing :func:`solve_unregularized` does
+    for the exact operator, without building the n x n matrix.
+    """
     delta = oscillation_delta(n_osc)
-    h = 1.0 / n
-    if h > delta / 10:
+    grid = Grid(n)
+    if grid.h > delta / 10:
         raise InvalidInputError(
             f"grid does not resolve the oscillation: need h <= delta/10, "
-            f"got h = {h:.6g} > delta/10 = {delta / 10:.6g}"
+            f"got h = {grid.h:.6g} > delta/10 = {delta / 10:.6g}"
         )
-    grid = Grid(n)
     clean = ramp_rhs(grid)
-    problem = ramp_problem(n, n_osc)
-    solution = solve_unregularized(problem)
-    rhs_dev = float(np.max(np.abs(problem.rhs - clean)))
+    rhs = ramp_rhs(grid, n_osc)
+    solution = np.diff(rhs, prepend=0.0) / grid.h
+    rhs_dev = float(np.max(np.abs(rhs - clean)))
     sol_dev = float(np.max(np.abs(solution - 1.0)))
-    return InstabilityResult(
+    result = InstabilityResult(
         rhs_dev=rhs_dev,
         sol_dev=sol_dev,
         amplification=sol_dev / rhs_dev,
         delta=delta,
     )
+    return grid, clean, rhs, solution, result
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Dense real linear operators: SVD, pseudo-inverse, and resolution projectors.
 
-The factorization itself is delegated to LAPACK via ``numpy.linalg.svd``;
-everything here is about rank decisions, the generalized inverse, and the
-identifiability tests built on top of them.
+The factorization is delegated to LAPACK via ``numpy.linalg.svd``, once per
+operator; everything here is about rank decisions, the generalized inverse,
+and the identifiability tests built on top of that one factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,18 @@ class DenseOperator:
         """Row-major flat view of the entries."""
         return self.matrix.ravel()
 
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(U, sigma, V)`` of the one SVD, computed on first use.
+
+        U is thin; V is complete, so a wide operator keeps its null space.
+        """
+        try:
+            u, s, vt = np.linalg.svd(self.matrix, full_matrices=self.rows < self.cols)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
+        return _freeze(u), _freeze(s), _freeze(vt.T)
+
 
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
@@ -108,9 +121,11 @@ def default_rtol(a: DenseOperator) -> float:
 def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
     """Singular value decomposition with relative rank truncation.
 
-    Singular values at or below ``rtol * sigma_max`` are moved to the
-    ``discarded`` tail.  The retained triplets reconstruct the operator to
-    within ``max(rtol, 1e-10) * sigma_max`` in the max-entry norm.
+    Each operator is factored once and every function here shares that
+    factorization, so another ``rtol`` only re-slices it.  Singular values
+    at or below ``rtol * sigma_max`` are moved to the ``discarded`` tail.
+    The retained triplets reconstruct the operator to within
+    ``max(rtol, 1e-10) * sigma_max`` in the max-entry norm.
 
     Parameters
     ----------
@@ -123,16 +138,12 @@ def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
         rtol = default_rtol(a)
     if rtol < 0:
         raise InvalidInputError(f"rtol must be >= 0, got {rtol}")
-    try:
-        u, s, vt = np.linalg.svd(a.matrix, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
-    sigma_max = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rtol * sigma_max))
+    u, s, v = a._factors
+    rank = int(np.sum(s > rtol * s[0]))
     return SvdFactors(
         left_vectors=u[:, :rank],
         singular_values=s[:rank],
-        right_vectors=vt[:rank].T,
+        right_vectors=v[:, :rank],
         rank_tolerance=rtol,
         discarded=s[rank:],
     )
@@ -176,18 +187,13 @@ def is_identifiable_linear(a: DenseOperator, rtol: float | None = None) -> bool:
 
 
 def null_space(a: DenseOperator, rtol: float | None = None) -> np.ndarray:
-    """Orthonormal basis (cols x k) of the numerical null space."""
-    if rtol is None:
-        rtol = default_rtol(a)
-    if rtol < 0:
-        raise InvalidInputError(f"rtol must be >= 0, got {rtol}")
-    try:
-        _, s, vt = np.linalg.svd(a.matrix, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
-    sigma_max = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rtol * sigma_max))
-    return vt[rank:].T.copy()
+    """Orthonormal basis (cols x k) of the numerical null space.
+
+    The right singular vectors past the rank of :func:`svd`, sliced from the
+    operator's one shared factorization.
+    """
+    rank = svd(a, rtol).rank
+    return a._factors[2][:, rank:].copy()
 
 
 def linear_parameter_identifiable(

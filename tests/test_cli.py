@@ -174,6 +174,11 @@ class TestFredholmDemo:
         assert res.returncode == 2
         assert "delta/10" in res.stderr
 
+    def test_nonpositive_grid_exit_2(self):
+        res = run_cli("fredholm-demo", "--n", "0", "--n-osc", "1")
+        assert res.returncode == 2
+        assert "grid size" in res.stderr
+
 
 class TestInfluence:
     def test_mean_unbounded(self, workdir):

@@ -142,6 +142,18 @@ class TestInstabilityExperiment:
         with pytest.raises(InvalidInputError, match="delta/10"):
             run_instability_experiment(100, 8)
 
+    def test_nonpositive_grid_rejected(self):
+        with pytest.raises(InvalidInputError, match="grid size"):
+            run_instability_experiment(0, 1)
+
+    def test_matches_dense_operator_solve(self):
+        # the O(n) experiment reproduces the dense-operator path bit for bit
+        res = run_instability_experiment(1000, 8)
+        problem = ramp_problem(1000, 8)
+        dense = solve_unregularized(problem)
+        assert res.sol_dev == float(np.max(np.abs(dense - 1.0)))
+        assert res.rhs_dev == float(np.max(np.abs(problem.rhs - ramp_rhs(Grid(1000)))))
+
     def test_rhs_dev_shrinks_solution_dev_does_not(self):
         # executable form of the divergence: the data perturbation vanishes
         # while the solution perturbation persists

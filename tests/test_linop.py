@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from illposed.errors import InvalidInputError
+from illposed import diagnostics, regularization
+from illposed.errors import InvalidInputError, NumericalFailureError
 from illposed.linop import (
     DenseOperator,
     hat_operator,
@@ -216,3 +219,81 @@ class TestParameterIdentifiability:
             theta2 = theta1 + basis @ RNG.standard_normal(basis.shape[1])
             assert np.linalg.norm(p.matrix @ (theta1 - theta2)) < 1e-10
             assert np.linalg.norm(q_ok.matrix @ (theta1 - theta2)) < 1e-10
+
+
+def count_lapack_svd(monkeypatch, fail=False):
+    """Replace numpy's SVD by a wrapper that records each call (or raises)."""
+    calls = []
+    lapack_svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        if fail:
+            raise np.linalg.LinAlgError("forced non-convergence")
+        return lapack_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@st.composite
+def rank_deficient_operators(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, min(rows, cols) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return DenseOperator(rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols)))
+
+
+class TestSharedFactorization:
+    def test_one_factorization_serves_every_caller(self, monkeypatch):
+        a = random_full_rank(6, 6)
+        theta = RNG.standard_normal(6)
+        d = a.matrix @ theta + 0.01 * RNG.standard_normal(6)
+        calls = count_lapack_svd(monkeypatch)
+        svd(a)
+        svd(a, rtol=1e-3)
+        svd(a, rtol=0.0)
+        pseudoinverse(a)
+        hat_operator(a)
+        model_resolution(a)
+        is_identifiable_linear(a)
+        null_space(a)
+        linear_parameter_identifiable(a, DenseOperator(np.eye(6)[:2]))
+        diagnostics.diagnose(a)
+        diagnostics.bounded_away_from_zero(a)
+        diagnostics.stability_bound_check(a, theta, theta + 0.1)
+        diagnostics.perturbation_amplification(a, d, d + 0.01)
+        regularization.tikhonov_solve(a, d, 1e-3)
+        regularization.tsvd_solve(a, d, 3)
+        regularization.discrepancy_select(a, d, 0.1 * np.linalg.norm(d))
+        regularization.restriction_sequence(a, d, [1, 3, 6])
+        assert len(calls) == 1
+
+    def test_lapack_failure_is_numerical_failure(self, monkeypatch):
+        count_lapack_svd(monkeypatch, fail=True)
+        for fn in (svd, null_space):
+            with pytest.raises(NumericalFailureError, match="did not converge"):
+                fn(DenseOperator(np.eye(3)))
+
+    def test_factors_are_read_only(self):
+        a = DenseOperator([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        f = svd(a)
+        arrays = (f.left_vectors, f.singular_values, f.right_vectors, f.discarded)
+        before = [x.copy() for x in arrays]
+        for x in arrays:
+            with pytest.raises(ValueError):
+                x[...] = 7.0
+        g = svd(a)
+        after = (g.left_vectors, g.singular_values, g.right_vectors, g.discarded)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+    @given(rank_deficient_operators())
+    def test_null_space_complements_right_vectors(self, a):
+        f = svd(a)
+        basis = null_space(a)
+        sigma_max = f.spectrum[0]
+        assert basis.shape == (a.cols, a.cols - f.rank)
+        assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1])), initial=0.0) < 1e-10
+        assert np.linalg.norm(a.matrix @ basis) <= 1e-10 * sigma_max
+        assert np.max(np.abs(f.right_vectors.T @ basis), initial=0.0) < 1e-10
