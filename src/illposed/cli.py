@@ -225,6 +225,8 @@ def _cmd_influence(args) -> int:
 
 
 def _cmd_finite_check(args) -> int:
+    if args.param_text is not None and args.map_text is None:
+        raise InvalidInputError("--param needs --map: it is checked against that map")
     if args.map_text is not None:
         p = finite_maps.parse_finite_map(args.map_text)
         estimator = finite_maps.fisher_consistent_estimator(p)

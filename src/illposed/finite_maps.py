@@ -8,6 +8,7 @@ injective" can be checked by exhaustive enumeration instead of proof.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -243,24 +244,61 @@ def check_fisher_consistency_theorem(max_domain: int, max_codomain: int) -> tupl
     return checked, counterexamples
 
 
+def restricted_growth_strings(n: int):
+    """Yield every set partition of ``{0..n-1}`` once, as a restricted growth string.
+
+    A string ``a`` has ``a[0] = 0`` and ``a[i] <= 1 + max(a[:i])``: element i
+    lies in block ``a[i]``, and blocks are numbered in order of their
+    smallest element, so each partition has exactly one string (Knuth,
+    TAOCP 4A, 7.2.1.5).  Strings come in lexicographic order; there are
+    Bell(n) of them.  Read as a table, a string with k blocks is the
+    canonical map ``n -> k`` with that kernel, and it is onto its codomain.
+    """
+    if n < 1:
+        raise InvalidInputError(f"need n >= 1 elements, got {n}")
+    a = [0] * n
+    bound = [1] * n  # bound[i] = 1 + max(a[:i]), the largest block a[i] may open
+    while True:
+        yield tuple(a)
+        j = n - 1
+        while j > 0 and a[j] == bound[j]:
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        nxt = max(bound[j], a[j] + 1)
+        for i in range(j + 1, n):
+            a[i] = 0
+            bound[i] = nxt
+
+
 def check_parameter_equivalence_theorem(max_domain: int, max_codomain: int) -> tuple[int, int]:
     """Exhaustively compare the standard and sections identifiability tests.
 
-    All (P, q) pairs with a common domain <= max_domain and codomains
-    <= max_codomain are checked; q is restricted to its range before the
-    sections test, as that test requires.  Returns (pairs checked,
-    disagreements).
+    Covers all (P, q) pairs of map tables with a common domain <= max_domain
+    and codomains <= max_codomain, and returns (pairs checked,
+    disagreements) over those tables.
+
+    Both tests compare table entries only for equality, so their verdict
+    on (P, q) depends only on the kernel partitions of P and q: relabelling
+    either codomain injectively changes neither.  The sweep therefore runs
+    each test once per pair of set partitions, on the canonical maps given
+    by :func:`restricted_growth_strings`, and counts each pair for every
+    table pair it stands for.  A partition with k blocks is the kernel of
+    ``sum(c! / (c - k)!)`` tables over c = 1..max_codomain.
     """
     pairs = 0
     disagreements = 0
     for d in range(1, max_domain + 1):
-        maps = [m for c in range(1, max_codomain + 1) for m in all_maps(d, c)]
-        for q in maps:
-            q_onto = restrict_to_range(q)
-            for p in maps:
-                pairs += 1
-                std = parameter_identifiable_standard(p, q)
-                sec = parameter_identifiable_sections(p, q_onto)
-                if std != sec:
-                    disagreements += 1
+        kernels = []
+        for rgs in restricted_growth_strings(d):
+            k = max(rgs) + 1
+            weight = sum(math.perm(c, k) for c in range(1, max_codomain + 1))
+            if weight:
+                kernels.append((FiniteMap(d, k, rgs), weight))
+        for q, wq in kernels:
+            for p, wp in kernels:
+                pairs += wp * wq
+                if parameter_identifiable_standard(p, q) != parameter_identifiable_sections(p, q):
+                    disagreements += wp * wq
     return pairs, disagreements

@@ -57,8 +57,7 @@ class FredholmProblem:
             raise InvalidInputError(
                 f"operator must be {n}x{n}, got {self.operator.matrix.shape}"
             )
-        expected = self.grid.h * np.tril(np.ones((n, n)))
-        if not np.allclose(self.operator.matrix, expected, rtol=0, atol=1e-14):
+        if not _is_cumulative(self.operator.matrix, self.grid.h, atol=1e-14):
             raise InvalidInputError(
                 "operator must be lower-triangular with constant entries h "
                 "(right-endpoint quadrature of the cumulative kernel)"
@@ -73,6 +72,18 @@ class FredholmProblem:
         object.__setattr__(self, "rhs", rhs)
 
 
+def _is_cumulative(k: np.ndarray, h: float, atol: float) -> bool:
+    """True iff ``|K[i, j] - h| <= atol`` for j <= i and ``|K[i, j]| <= atol`` for j > i.
+
+    Checked one row at a time, so no n x n temporary is built; atol = 0
+    demands the exact pattern.
+    """
+    return all(
+        np.all(np.abs(row[: i + 1] - h) <= atol) and np.all(np.abs(row[i + 1 :]) <= atol)
+        for i, row in enumerate(k)
+    )
+
+
 def heaviside_operator(n: int) -> DenseOperator:
     """n x n cumulative-integration operator: K[i, j] = h for j <= i, else 0.
 
@@ -81,7 +92,10 @@ def heaviside_operator(n: int) -> DenseOperator:
     """
     if n < 2:
         raise InvalidInputError(f"need n >= 2 grid points, got {n}")
-    return DenseOperator(np.tril(np.ones((n, n))) / n)
+    k = np.tri(n)
+    k /= n
+    k.flags.writeable = False  # a frozen array is adopted without a copy
+    return DenseOperator(k)
 
 
 def oscillation_delta(n_osc: int) -> float:
@@ -133,8 +147,7 @@ def solve_unregularized(problem: FredholmProblem) -> np.ndarray:
     if np.any(diag == 0):
         raise NumericalFailureError("operator is singular: zero diagonal entry")
     h = problem.grid.h
-    expected = h * np.tril(np.ones((problem.grid.n, problem.grid.n)))
-    if np.array_equal(k, expected):
+    if _is_cumulative(k, h, atol=0.0):
         return np.diff(problem.rhs, prepend=0.0) / h
     try:
         return np.linalg.solve(k, problem.rhs)

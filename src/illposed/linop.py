@@ -28,7 +28,8 @@ class DenseOperator:
     Parameters
     ----------
     matrix : array_like
-        Two-dimensional, nonempty, all entries finite.
+        Two-dimensional, nonempty, all entries finite.  A read-only float
+        array that owns its memory is adopted as is; anything else is copied.
     """
 
     matrix: np.ndarray
@@ -39,7 +40,9 @@ class DenseOperator:
             raise InvalidInputError(f"operator must be a nonempty 2-D matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("operator entries must be finite (no NaN/Inf)")
-        object.__setattr__(self, "matrix", _freeze(a.copy()))
+        if a.flags.writeable or not a.flags.owndata:
+            a = a.copy()
+        object.__setattr__(self, "matrix", _freeze(a))
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "DenseOperator":

@@ -15,13 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NoSolutionError
+from .errors import InvalidInputError, NoSolutionError, NumericalFailureError
 from .linop import DenseOperator, SvdFactors, svd
 
 
 class Method(str, enum.Enum):
     TIKHONOV = "TIKHONOV"
     TSVD = "TSVD"
+
+
+# bisection steps discrepancy_select may take on log lambda before giving up
+_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,8 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     1% relative tolerance) by bisection on log lam over
     [1e-14 sigma_max^2, sigma_max^2].  The residual norm is monotone
     nondecreasing in lam, so the bracket is valid; targets outside the
-    attainable residual range raise NoSolutionError.
+    attainable residual range raise NoSolutionError, and a bisection that
+    misses the tolerance raises NumericalFailureError.
     """
     if noise_level <= 0:
         raise InvalidInputError(f"noise_level must be > 0, got {noise_level}")
@@ -137,8 +142,7 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     if abs(r_lo - target) <= 0.01 * target:
         return lo
     log_lo, log_hi = math.log(lo), math.log(hi)
-    lam = hi
-    for _ in range(200):
+    for _ in range(_MAX_BISECTIONS):
         lam = math.exp(0.5 * (log_lo + log_hi))
         r = residual(lam)
         if abs(r - target) <= 0.01 * target:
@@ -147,7 +151,10 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
             log_lo = math.log(lam)
         else:
             log_hi = math.log(lam)
-    return lam
+    raise NumericalFailureError(
+        f"discrepancy bisection did not converge in {_MAX_BISECTIONS} steps: "
+        f"residual {r:.6g} at lambda {lam:.6g}, target {target:.6g}"
+    )
 
 
 def restriction_sequence(a: DenseOperator, data, levels) -> list[np.ndarray]:

@@ -245,6 +245,22 @@ class TestFiniteCheck:
         res = run_cli("finite-check", "--max-domain", "6")
         assert res.returncode == 2
 
+    def test_closed_form_counts_5_5(self):
+        res = run_cli("finite-check", "--max-domain", "5", "--max-codomain", "5")
+        assert res.returncode == 0
+        report = json.loads(res.stdout)
+        # sum over d, c <= 5 of c**d tables, and the sum over d of its square
+        assert report["theorem1_maps_checked"] == 5699
+        assert report["theorem1_counterexamples"] == 0
+        assert report["theorem2_pairs_checked"] == 20592941
+        assert report["theorem2_disagreements"] == 0
+
+    def test_param_without_map_exit_2(self):
+        res = run_cli("finite-check", "--param", "4 2 : 0,0,1,1")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--param needs --map" in res.stderr
+
     def test_single_map_mode(self):
         res = run_cli("finite-check", "--map", "4 3 : 0,1,1,2", "--param", "4 2 : 0,0,1,1")
         assert res.returncode == 0

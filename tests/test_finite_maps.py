@@ -8,6 +8,7 @@ from illposed.errors import CompositionError, InvalidInputError
 from illposed.finite_maps import (
     FiniteMap,
     all_maps,
+    check_parameter_equivalence_theorem,
     construct_inner_inverse,
     enumerate_sections,
     fisher_consistent_estimator,
@@ -18,6 +19,7 @@ from illposed.finite_maps import (
     parse_finite_map,
     promote_to_generalized,
     restrict_to_range,
+    restricted_growth_strings,
     verify_inner_inverse,
     verify_outer_inverse,
 )
@@ -34,6 +36,27 @@ def finite_maps(draw, max_domain=5, max_codomain=5):
     c = draw(st.integers(1, max_codomain))
     table = draw(st.lists(st.integers(0, c - 1), min_size=d, max_size=d))
     return FiniteMap(d, c, tuple(table))
+
+
+@st.composite
+def relabelled_pairs(draw, max_domain=5, max_codomain=5):
+    """(P, q) on a common domain, and both again after injective codomain relabellings."""
+    d = draw(st.integers(1, max_domain))
+    pair = []
+    for _ in range(2):
+        c = draw(st.integers(1, max_codomain))
+        table = draw(st.lists(st.integers(0, c - 1), min_size=d, max_size=d))
+        wider = draw(st.integers(c, max_codomain + 1))
+        rho = draw(st.permutations(range(wider)))[:c]  # injective {0..c-1} -> {0..wider-1}
+        pair.append((FiniteMap(d, c, tuple(table)), FiniteMap(d, wider, tuple(rho[v] for v in table))))
+    (p, p2), (q, q2) = pair
+    return p, q, p2, q2
+
+
+def canonical_kernel(table):
+    """Number the blocks of the kernel of a table in order of first occurrence."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(v, len(first)) for v in table)
 
 
 class TestFiniteMap:
@@ -248,3 +271,74 @@ class TestSections:
     def test_restrict_to_range_surjective(self, q):
         q_onto = restrict_to_range(q)
         assert q_onto.image() == frozenset(range(q_onto.codomain_size))
+
+
+class TestKernelPartitionSweep:
+    BELL = [1, 2, 5, 15, 52, 203, 877]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_restricted_growth_strings_are_the_bell_many_canonical_partitions(self, n):
+        strings = list(restricted_growth_strings(n))
+        assert len(strings) == self.BELL[n - 1]
+        assert len(set(strings)) == len(strings)
+        assert strings == sorted(strings)
+        for a in strings:
+            assert canonical_kernel(a) == a
+            m = FiniteMap(n, max(a) + 1, a)
+            assert restrict_to_range(m) == m
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_restricted_growth_strings_cover_every_kernel(self, n):
+        kernels = {canonical_kernel(m.table) for m in all_maps(n, n)}
+        assert kernels == set(restricted_growth_strings(n))
+
+    def test_restricted_growth_strings_reject_empty_set(self):
+        with pytest.raises(InvalidInputError):
+            next(restricted_growth_strings(0))
+
+    @given(relabelled_pairs())
+    def test_verdicts_invariant_under_injective_relabelling(self, pair):
+        # the lemma behind the partition sweep: only the kernels of P and q matter
+        p, q, p2, q2 = pair
+        assert parameter_identifiable_standard(p, q) == parameter_identifiable_standard(p2, q2)
+        assert parameter_identifiable_sections(p, restrict_to_range(q)) == (
+            parameter_identifiable_sections(p2, restrict_to_range(q2))
+        )
+
+
+# brute-force oracle: the table-by-table sweep, at the largest bounds compared below
+ORACLE_BOUNDS = {1: 4, 2: 4, 3: 4, 4: 4, 5: 3}
+
+
+@pytest.fixture(scope="module")
+def table_oracle():
+    """(pairs, disagreements) per (domain d, codomain of P, codomain of q), table by table."""
+    counts = {}
+    for d, max_c in ORACLE_BOUNDS.items():
+        tables = {c: list(all_maps(d, c)) for c in range(1, max_c + 1)}
+        for cq, qs in tables.items():
+            onto = [restrict_to_range(q) for q in qs]
+            for cp, ps in tables.items():
+                bad = sum(
+                    parameter_identifiable_standard(p, q)
+                    != parameter_identifiable_sections(p, q_onto)
+                    for q, q_onto in zip(qs, onto)
+                    for p in ps
+                )
+                counts[d, cp, cq] = (len(ps) * len(qs), bad)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "max_domain,max_codomain",
+    [(d, c) for d in range(1, 5) for c in range(1, 5)] + [(5, 3)],
+)
+def test_partition_sweep_matches_table_oracle(table_oracle, max_domain, max_codomain):
+    cells = [
+        table_oracle[d, cp, cq]
+        for d in range(1, max_domain + 1)
+        for cp in range(1, max_codomain + 1)
+        for cq in range(1, max_codomain + 1)
+    ]
+    expected = (sum(n for n, _ in cells), sum(bad for _, bad in cells))
+    assert check_parameter_equivalence_theorem(max_domain, max_codomain) == expected

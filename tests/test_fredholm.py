@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from illposed.fredholm import (
     run_instability_experiment,
     solve_unregularized,
 )
-from illposed.linop import svd
+from illposed.linop import DenseOperator, svd
 
 RNG = np.random.default_rng(7)
 
@@ -115,10 +116,34 @@ class TestSolve:
     def test_problem_validates_operator_pattern(self):
         with pytest.raises(InvalidInputError):
             FredholmProblem(Grid(3), heaviside_operator(4), np.zeros(3))
-        from illposed.linop import DenseOperator
-
         with pytest.raises(InvalidInputError):
             FredholmProblem(Grid(2), DenseOperator(np.eye(2)), np.zeros(2))
+
+    def test_pattern_tolerance_and_exact_fast_path(self):
+        n = 5
+        k = heaviside_operator(n).matrix.copy()
+        k[3, 1] += 5e-15
+        problem = FredholmProblem(Grid(n), DenseOperator(k), np.ones(n))
+        # within atol = 1e-14 the problem is accepted, but only the exact
+        # pattern takes the first-difference path, so this one is a dense solve
+        assert np.array_equal(solve_unregularized(problem), np.linalg.solve(k, np.ones(n)))
+        for i, j in [(3, 1), (1, 3)]:
+            bad = heaviside_operator(n).matrix.copy()
+            bad[i, j] += 1e-13
+            with pytest.raises(InvalidInputError, match="lower-triangular"):
+                FredholmProblem(Grid(n), DenseOperator(bad), np.ones(n))
+
+    def test_memory_peak_below_two_operators(self):
+        # the operator itself takes 8 n^2 bytes; checking its pattern and
+        # solving must not add another n x n array
+        n = 2000
+        tracemalloc.start()
+        try:
+            solve_unregularized(ramp_problem(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * n
 
 
 class TestInstabilityExperiment:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from illposed.errors import InvalidInputError, NoSolutionError
+from illposed import regularization
+from illposed.errors import InvalidInputError, NoSolutionError, NumericalFailureError
 from illposed.fredholm import ramp_problem, solve_unregularized
 from illposed.linop import DenseOperator, pseudoinverse, svd
 from illposed.regularization import (
@@ -186,6 +187,15 @@ class TestDiscrepancy:
         d = np.array([1.0, 0.0, 0.0])
         with pytest.raises(NoSolutionError, match="attainable"):
             discrepancy_select(a, d, noise_level=10.0)
+
+    def test_unconverged_bisection_raises(self, monkeypatch):
+        # residual 1e-3 at the first midpoint lambda = 1e-7, far from 0.5
+        a = DenseOperator(np.diag([1.0, 0.1, 0.01]))
+        d = np.ones(3)
+        assert discrepancy_select(a, d, noise_level=0.5) > 0
+        monkeypatch.setattr(regularization, "_MAX_BISECTIONS", 1)
+        with pytest.raises(NumericalFailureError, match="did not converge"):
+            discrepancy_select(a, d, noise_level=0.5)
 
     def test_validation(self):
         a = DenseOperator(np.eye(2))
