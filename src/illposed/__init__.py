@@ -55,8 +55,6 @@ from .linop import (
     svd,
 )
 from .regularization import (
-    Method,
-    RegularizationConfig,
     discrepancy_select,
     filter_factors,
     restriction_sequence,

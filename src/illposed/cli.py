@@ -8,6 +8,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -110,26 +111,17 @@ def _cmd_solve(args) -> int:
 
     if args.noise is not None:
         lam = regularization.discrepancy_select(a, d, args.noise, args.tau)
-        config = regularization.RegularizationConfig(
-            regularization.Method.TIKHONOV, lam=lam, tau=args.tau
-        )
-        x = regularization.solve_with(a, d, config)
+        x = regularization.tikhonov_solve(a, d, lam)
         method, parameter = "tikhonov", lam
     elif args.method == "tikhonov":
         if args.lam is None:
             raise InvalidInputError("tikhonov requires --lambda or --noise")
-        config = regularization.RegularizationConfig(
-            regularization.Method.TIKHONOV, lam=args.lam
-        )
-        x = regularization.solve_with(a, d, config)
+        x = regularization.tikhonov_solve(a, d, args.lam)
         method, parameter = "tikhonov", args.lam
     elif args.method == "tsvd":
         if args.k is None:
             raise InvalidInputError("tsvd requires --k")
-        config = regularization.RegularizationConfig(
-            regularization.Method.TSVD, truncation_k=args.k
-        )
-        x = regularization.solve_with(a, d, config)
+        x = regularization.tsvd_solve(a, d, args.k)
         method, parameter = "tsvd", args.k
     else:
         if args.lam is not None or args.k is not None:
@@ -202,6 +194,8 @@ def _parse_probes(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InvalidInputError(f"bad --probes {text!r}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInputError(f"--probes needs a finite min and max, got {text!r}")
     if lo <= 0 or hi <= lo or count < 2:
         raise InvalidInputError("--probes needs 0 < min < max and count >= 2")
     return np.geomspace(lo, hi, count)

@@ -1,10 +1,13 @@
 """Statistical functionals on weighted point masses and their sensitivity.
 
-The influence function is computed as a numerical directional derivative:
-contaminate the distribution with a small point mass, difference the
-functional, and extrapolate the step to zero.  Its growth across probe
-locations separates functionals that any data perturbation can hijack
-(the mean) from those that saturate (median, trimmed mean).
+The influence function is the exact one-sided derivative of the functional
+at eps -> 0+ along the contamination (1 - eps) F + eps * (point mass at y).
+Along that path the mean is linear, the trimmed mean piecewise linear and
+the median piecewise constant, so the derivative has a closed form.  A
+median that jumps at eps -> 0+ has none, and it is the one case that raises
+NumericalFailureError.  The growth of the influence across probe locations
+separates functionals that any data perturbation can hijack (the mean) from
+those that saturate (median, trimmed mean).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ class FunctionalKind:
                     f"trim_fraction must lie in [0, 0.5), got {self.trim_fraction}"
                 )
         elif self.trim_fraction is not None:
-            raise InvalidInputError(f"trim_fraction is only valid for TRIMMED_MEAN")
+            raise InvalidInputError("trim_fraction is only valid for TRIMMED_MEAN")
 
 
 MEAN = FunctionalKind(Functional.MEAN)
@@ -106,9 +109,7 @@ def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
     if t.kind is Functional.MEAN:
         return float(np.dot(f.weights, f.locations))
     if t.kind is Functional.MEDIAN:
-        cum = np.cumsum(f.weights)
-        idx = int(np.searchsorted(cum, 0.5 - _WEIGHT_TOL))
-        return float(f.locations[min(idx, f.locations.size - 1)])
+        return float(f.locations[_median_index(np.cumsum(f.weights))])
     alpha = t.trim_fraction
     if alpha == 0.0:
         return float(np.dot(f.weights, f.locations))
@@ -117,6 +118,11 @@ def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
     kept = np.minimum(hi_edge, 1.0 - alpha) - np.maximum(lo_edge, alpha)
     kept = np.maximum(kept, 0.0)
     return float(np.dot(kept, f.locations) / (1.0 - 2.0 * alpha))
+
+
+def _median_index(cum: np.ndarray) -> int:
+    # first atom whose cumulative weight reaches 1/2, within the tolerance
+    return min(int(np.searchsorted(cum, 0.5 - _WEIGHT_TOL)), cum.size - 1)
 
 
 def contaminate(f: EmpiricalDistribution, eps: float, y: float) -> EmpiricalDistribution:
@@ -139,34 +145,61 @@ def contaminate(f: EmpiricalDistribution, eps: float, y: float) -> EmpiricalDist
     return EmpiricalDistribution(np.append(loc, y), np.append(w, eps))
 
 
-_EPS_LADDER = (1e-3, 1e-4, 1e-5)
-
-
 def influence_function(t: FunctionalKind, f: EmpiricalDistribution, y: float) -> float:
-    """Directional derivative of the functional toward a point mass at y.
+    """Exact one-sided derivative of the functional toward a point mass at y.
 
-    Difference quotients at eps = 1e-3, 1e-4, 1e-5 are Richardson-
-    extrapolated (the quotient error is first order in eps); if the two
-    extrapolants still disagree by more than 1e-3 in relative spread the
-    quotient sequence has not converged and NumericalFailureError is
-    raised.  For MEAN the quotient is eps-independent and the result is
-    exactly y - mean(F) up to rounding.
+    The right derivative at eps -> 0+ of T((1 - eps) F + eps * delta_y).
+    MEAN gives y - mean(F).  TRIMMED_MEAN differentiates the kept weight of
+    each atom, which is piecewise linear in eps; a cumulative edge within
+    1e-12 of a trim level follows the piece that is active for eps > 0.
+    MEDIAN gives 0 unless the median sits on an atom whose cumulative weight
+    is 1/2 within 1e-12 and y lies above it: then the median jumps to a
+    later location for every eps > 0, the influence quotient does not
+    converge, and NumericalFailureError is raised.
     """
-    base = evaluate(t, f)
-    quotients = [
-        (evaluate(t, contaminate(f, eps, y)) - base) / eps for eps in _EPS_LADDER
-    ]
-    # eliminate the O(eps) error term; ladder ratio is 10
-    r12 = (10.0 * quotients[1] - quotients[0]) / 9.0
-    r23 = (10.0 * quotients[2] - quotients[1]) / 9.0
-    floor = 1e-6 * (1.0 + abs(y) + abs(base))
-    spread = abs(r12 - r23) / max(abs(r12), abs(r23), floor)
-    if spread > 1e-3:
-        raise NumericalFailureError(
-            f"influence quotient did not converge at y = {y}: "
-            f"extrapolants {r12:.6g} and {r23:.6g}"
-        )
-    return float(r23)
+    if not math.isfinite(y):
+        raise InvalidInputError(f"contamination location must be finite, got {y}")
+    if t.kind is Functional.MEAN:
+        return float(y - evaluate(MEAN, f))
+    if t.kind is Functional.MEDIAN:
+        cum = np.cumsum(f.weights)
+        idx = _median_index(cum)
+        median = float(f.locations[idx])
+        if abs(cum[idx] - 0.5) <= _WEIGHT_TOL and y > median:
+            raise NumericalFailureError(
+                f"influence quotient does not converge at y = {y}: the median {median!r} "
+                "holds cumulative weight 1/2 and jumps under contamination above it"
+            )
+        return 0.0
+    return _trimmed_influence(t.trim_fraction, f, y)
+
+
+def _trimmed_influence(alpha: float, f: EmpiricalDistribution, y: float) -> float:
+    # y joins as a zero-weight atom unless it is already a location, so
+    # every atom's edges move with slopes [y < x] - lo and [y <= x] - hi
+    loc, w = f.locations, f.weights
+    if not np.any(loc == y):
+        at = int(np.searchsorted(loc, y))
+        loc, w = np.insert(loc, at, y), np.insert(w, at, 0.0)
+    hi = np.cumsum(w)
+    lo = hi - w
+    # kept = max(0, min(hi, 1 - alpha) - max(lo, alpha)), as in evaluate,
+    # with min(hi, 1 - alpha) = -max(-hi, alpha - 1)
+    neg_upper, neg_d_upper = _right_max(-hi, hi - (y <= loc), alpha - 1.0)
+    lower, d_lower = _right_max(lo, (y < loc) - lo, alpha)
+    _, d_kept = _right_max(-neg_upper - lower, -neg_d_upper - d_lower, 0.0)
+    return float(np.dot(loc, d_kept) / (1.0 - 2.0 * alpha))
+
+
+def _right_max(value: np.ndarray, slope: np.ndarray, floor: float):
+    """max(value + eps * slope, floor) at eps = 0 and its right derivative.
+
+    Within the weight tolerance of the floor the larger slope wins.
+    """
+    above = value > floor + _WEIGHT_TOL
+    tied = ~above & (value >= floor - _WEIGHT_TOL)
+    d = np.where(above, slope, np.where(tied, np.maximum(slope, 0.0), 0.0))
+    return np.maximum(value, floor), d
 
 
 @dataclass(frozen=True, eq=False)

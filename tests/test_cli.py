@@ -128,6 +128,16 @@ class TestSolve:
         )
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--method", "tikhonov", "--lambda", "-1"], ["--method", "tsvd", "--k", "0"]]
+    )
+    def test_bad_regularization_parameter_exit_2(self, workdir, flags):
+        res = run_cli(
+            "solve", str(workdir / "identity.csv"), str(workdir / "data2.csv"), *flags
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+
     def test_noise_with_lambda_conflict(self, workdir):
         res = run_cli(
             "solve", str(workdir / "identity.csv"), str(workdir / "data2.csv"),
@@ -213,6 +223,16 @@ class TestInfluence:
             "--functional", "mean", "--probes", "10:1e6",
         )
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("probes", ["1:inf:3", "nan:2:3", "-inf:2:3"])
+    def test_non_finite_probes_exit_2(self, workdir, probes):
+        res = run_cli(
+            "influence", str(workdir / "dist.csv"),
+            "--functional", "mean", "--probes", probes,
+        )
+        assert res.returncode == 2
+        assert "--probes" in res.stderr
+        assert "RuntimeWarning" not in res.stderr
 
     def test_divergent_quotient_exit_3(self, tmp_path):
         # the median of two half atoms jumps under any contamination beyond

@@ -6,8 +6,6 @@ from illposed.errors import InvalidInputError, NoSolutionError, NumericalFailure
 from illposed.fredholm import ramp_problem, solve_unregularized
 from illposed.linop import DenseOperator, pseudoinverse, svd
 from illposed.regularization import (
-    Method,
-    RegularizationConfig,
     discrepancy_select,
     filter_factors,
     restriction_sequence,
@@ -24,34 +22,14 @@ def normal_equations_oracle(a, d, lam):
     return np.linalg.solve(m.T @ m + lam * np.eye(a.cols), m.T @ d)
 
 
-class TestConfig:
-    def test_tikhonov_requires_lambda(self):
-        RegularizationConfig(Method.TIKHONOV, lam=0.1)
-        with pytest.raises(InvalidInputError):
-            RegularizationConfig(Method.TIKHONOV)
-        with pytest.raises(InvalidInputError):
-            RegularizationConfig(Method.TIKHONOV, lam=0.1, truncation_k=2)
-        with pytest.raises(InvalidInputError):
-            RegularizationConfig(Method.TIKHONOV, lam=-0.1)
-
-    def test_tsvd_requires_level(self):
-        RegularizationConfig(Method.TSVD, truncation_k=3)
-        with pytest.raises(InvalidInputError):
-            RegularizationConfig(Method.TSVD, lam=0.1, truncation_k=3)
-        with pytest.raises(InvalidInputError):
-            RegularizationConfig(Method.TSVD, truncation_k=0)
-
-    def test_tau_floor(self):
-        with pytest.raises(InvalidInputError):
-            RegularizationConfig(Method.TIKHONOV, lam=0.1, tau=0.5)
-
+class TestSolveWith:
     def test_dispatch(self):
         a = DenseOperator(np.diag([2.0, 1.0]))
         d = np.array([2.0, 1.0])
-        tik = solve_with(a, d, RegularizationConfig(Method.TIKHONOV, lam=0.0))
-        assert np.allclose(tik, [1.0, 1.0])
-        tsv = solve_with(a, d, RegularizationConfig(Method.TSVD, truncation_k=2))
-        assert np.allclose(tsv, [1.0, 1.0])
+        assert np.allclose(solve_with(a, d, "tikhonov", 0.0), [1.0, 1.0])
+        assert np.allclose(solve_with(a, d, "tsvd", 1), [1.0, 0.0])
+        with pytest.raises(InvalidInputError):
+            solve_with(a, d, "none", None)
 
 
 class TestTikhonov:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from illposed.errors import InvalidInputError
+from illposed.errors import InvalidInputError, NumericalFailureError
 from illposed.robustness import (
     MEAN,
     MEDIAN,
@@ -23,6 +23,24 @@ UNIFORM9 = EmpiricalDistribution.from_atoms([(float(k), 1 / 9) for k in range(1,
 
 def dist(*atoms):
     return EmpiricalDistribution.from_atoms(atoms)
+
+
+def ladder_influence(t, f, y):
+    """Difference quotients at eps = 1e-3, 1e-4, 1e-5, Richardson-extrapolated.
+
+    The numerical oracle for influence_function: None when the two
+    extrapolants differ by more than 1e-3 in relative spread, i.e. when
+    the quotient sequence has not converged.
+    """
+    base = evaluate(t, f)
+    q = [(evaluate(t, contaminate(f, eps, y)) - base) / eps for eps in (1e-3, 1e-4, 1e-5)]
+    # eliminate the O(eps) error term; ladder ratio is 10
+    r12 = (10.0 * q[1] - q[0]) / 9.0
+    r23 = (10.0 * q[2] - q[1]) / 9.0
+    floor = 1e-6 * (1.0 + abs(y) + abs(base))
+    if abs(r12 - r23) / max(abs(r12), abs(r23), floor) > 1e-3:
+        return None
+    return r23
 
 
 @st.composite
@@ -141,6 +159,57 @@ class TestInfluenceFunction:
         assert abs(v100) <= 10.0
         assert v100 == pytest.approx(v1e6, abs=1e-8)
 
+    def test_trimmed_closed_form(self):
+        # at y = 10 the contamination is trimmed away and shifts 0.5 eps of
+        # kept mass from -1 to 1: T = 2 eps
+        f = dist((-1.0, 0.5), (1.0, 0.5))
+        assert influence_function(trimmed_mean(0.25), f, 10.0) == pytest.approx(2.0, abs=1e-12)
+
+    def test_median_away_from_tie_is_zero(self):
+        for y in (-1e6, 0.5, 5.0, 5.5, 9.0, 1e6):
+            assert influence_function(MEDIAN, UNIFORM9, y) == 0.0
+
+    def test_median_on_half_tie(self):
+        # cumulative weight 1/2 at 0: contamination above 0 moves the median
+        f = dist((0.0, 0.5), (10.0, 0.5))
+        for y in (5.0, 10.0, 100.0):
+            with pytest.raises(NumericalFailureError, match="converge"):
+                influence_function(MEDIAN, f, y)
+        for y in (-5.0, 0.0):
+            assert influence_function(MEDIAN, f, y) == 0.0
+
+    def test_non_finite_location_rejected(self):
+        for y in (np.inf, -np.inf, np.nan):
+            with pytest.raises(InvalidInputError):
+                influence_function(MEAN, UNIFORM9, y)
+
+    def test_matches_ladder_where_it_converges(self):
+        rng = np.random.default_rng(20240601)
+        kinds = [MEAN, MEDIAN] + [trimmed_mean(a) for a in (0.0, 0.1, 0.25, 0.4)]
+        compared = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 9))
+            if rng.random() < 0.5:
+                locs = np.unique(np.round(rng.normal(0.0, 10.0, n), 3))
+            else:
+                locs = np.unique(rng.integers(-5, 6, n)).astype(float)
+            # equal weights put cumulative edges exactly on trim levels and 1/2
+            raw = rng.uniform(0.05, 1.0, locs.size) if rng.random() < 0.5 else np.ones(locs.size)
+            f = EmpiricalDistribution(locs, raw / raw.sum())
+            probes = np.concatenate(
+                [locs, 0.5 * (locs[1:] + locs[:-1]), [locs[0] - 3.0, locs[-1] + 3.0]]
+            )
+            for t in kinds:
+                for y in probes:
+                    want = ladder_influence(t, f, float(y))
+                    if want is None:
+                        continue
+                    scale = 1.0 + abs(y) + abs(evaluate(t, f))
+                    got = influence_function(t, f, float(y))
+                    assert got == pytest.approx(want, rel=1e-6, abs=1e-6 * scale)
+                    compared += 1
+        assert compared > 5000
+
     @given(st.floats(-1e6, 1e6))
     def test_mean_influence_is_residual(self, y):
         mu = evaluate(MEAN, UNIFORM9)
@@ -176,6 +245,23 @@ class TestInfluenceProfile:
         var = float(np.dot(UNIFORM9.weights, (UNIFORM9.locations - mu) ** 2))
         profile = influence_profile(MEAN, UNIFORM9, np.array([1.0, 5.0, 9.0]))
         assert profile.asymptotic_variance == pytest.approx(var, abs=1e-8)
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_trimmed_profile_of_large_normal_sample(self, seed):
+        # alpha * m is an integer, so cumulative edges sit on both trim levels,
+        # and atoms of weight 2e-4 are crossed by a contamination step of 1e-3
+        m, t, eps = 5000, trimmed_mean(0.25), 1e-7
+        x = np.random.default_rng(seed).standard_normal(m)
+        f = EmpiricalDistribution(x, np.full(m, 1 / m))
+        probes = np.geomspace(0.5, 50.0, 16)
+        profile = influence_profile(t, f, probes)
+        assert not profile.unbounded_flag
+        base = evaluate(t, f)
+        # the first kink past eps = 0+ is at eps ~ 1/m, so one step of 1e-7
+        # gives the right slope up to rounding
+        for y, got in zip(probes, profile.values):
+            want = (evaluate(t, contaminate(f, eps, y)) - base) / eps
+            assert got == pytest.approx(want, abs=1e-6)
 
     def test_probes_must_be_sorted(self):
         with pytest.raises(InvalidInputError):
