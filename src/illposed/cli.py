@@ -23,7 +23,7 @@ from .fileio import (
     table_to_csv,
     vector_to_csv,
 )
-from .linop import linear_parameter_identifiable, pseudoinverse
+from .linop import linear_parameter_identifiable, svd
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,12 +92,14 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_analyze(args) -> int:
     a = read_matrix_csv(args.matrix)
-    report = diagnostics.diagnose(a, rtol=args.rtol, kappa_threshold=args.kappa_threshold)
-    payload = report.to_dict()
+    # the identifiability test needs singular vectors; running it first lets
+    # diagnose read their singular values instead of a second, values-only SVD
+    extra = {}
     if args.param is not None:
         q = read_matrix_csv(args.param)
-        payload["parameter_identifiable"] = linear_parameter_identifiable(a, q, rtol=args.rtol)
-    _emit(json_flat(payload), args.out)
+        extra["parameter_identifiable"] = linear_parameter_identifiable(a, q, rtol=args.rtol)
+    report = diagnostics.diagnose(a, rtol=args.rtol, kappa_threshold=args.kappa_threshold)
+    _emit(json_flat({**report.to_dict(), **extra}), args.out)
     return 0
 
 
@@ -126,7 +128,8 @@ def _cmd_solve(args) -> int:
     else:
         if args.lam is not None or args.k is not None:
             raise InvalidInputError("--lambda/--k require --method tikhonov/tsvd")
-        x = pseudoinverse(a).matrix @ d
+        f = svd(a)
+        x = regularization._tsvd_from_factors(f, regularization._check_data(a, d), f.rank)
         method, parameter = "none", None
 
     report = {

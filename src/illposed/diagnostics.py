@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linop import DenseOperator, is_identifiable_linear, pseudoinverse, svd
+from .linop import DenseOperator, _numerical_rank, svd
+from .regularization import _tsvd_from_factors
 
 
 class Classification(str, enum.Enum):
@@ -81,20 +82,22 @@ def diagnose(
     a : DenseOperator
         The forward operator.
     rtol : float, optional
-        Rank tolerance passed to :func:`illposed.linop.svd`.
+        Rank tolerance, as for :func:`illposed.linop.svd`.
     kappa_threshold : float
         Condition numbers above this are reported ILL_CONDITIONED.  What is
         "unacceptably large" is context-dependent; the default 1e8 spends
         about half of double precision.
+
+    Only singular values are read, so an operator not yet factored pays
+    for a values-only SVD.
     """
     if kappa_threshold <= 1:
         raise InvalidInputError(f"kappa_threshold must exceed 1, got {kappa_threshold}")
-    f = svd(a, rtol)
-    rank = f.rank
+    _, full, rank = _numerical_rank(a, rtol)
     identifiable = rank == a.cols
     if rank > 0:
-        sigma_max = float(f.singular_values[0])
-        sigma_min = float(f.singular_values[-1])
+        sigma_max = float(full[0])
+        sigma_min = float(full[rank - 1])
         condition = sigma_max / sigma_min
     else:
         sigma_max = sigma_min = 0.0
@@ -105,7 +108,6 @@ def diagnose(
         label = Classification.ILL_CONDITIONED
     else:
         label = Classification.WELL_POSED
-    full = f.spectrum
     positive = full[full > 0]
     decay = spectrum_decay(positive) if positive.size >= 4 else None
     return DiagnosisReport(
@@ -127,35 +129,36 @@ def bounded_away_from_zero(a: DenseOperator, rtol: float | None = None) -> float
     Exists iff the operator is identifiable, in which case c is the
     smallest retained singular value.
     """
-    f = svd(a, rtol)
-    if f.rank != a.cols:
+    _, s, rank = _numerical_rank(a, rtol)
+    if rank != a.cols:
         raise InvalidInputError("operator is not identifiable; no positive lower bound exists")
-    return float(f.singular_values[-1])
+    return float(s[rank - 1])
 
 
 def stability_bound_check(
-    a: DenseOperator, theta1: np.ndarray, theta2: np.ndarray
+    a: DenseOperator, theta1: np.ndarray, theta2: np.ndarray, rtol: float | None = None
 ) -> StabilityBound:
     """Evaluate the relative-error bound linking data and solution changes.
 
     lhs is the relative solution change ``||t1 - t2|| / ||t2||``, rhs is the
     condition number times the relative data change
     ``||A t1 - A t2|| / ||A t2||``; the bound lhs <= rhs holds for every
-    identifiable operator.  Euclidean norms throughout.
+    identifiable operator.  Euclidean norms throughout.  ``rtol`` is the
+    rank tolerance, as for :func:`diagnose`.
     """
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
     if theta1.shape != (a.cols,) or theta2.shape != (a.cols,):
         raise InvalidInputError(f"theta vectors must have shape ({a.cols},)")
-    f = svd(a)
-    if f.rank != a.cols:
+    _, s, rank = _numerical_rank(a, rtol)
+    if rank != a.cols:
         raise InvalidInputError("stability bound requires an identifiable operator")
     norm2 = np.linalg.norm(theta2)
     a2 = a.matrix @ theta2
     norm_a2 = np.linalg.norm(a2)
     if norm2 == 0 or norm_a2 == 0:
         raise InvalidInputError("theta2 and A theta2 must be nonzero")
-    kappa = float(f.singular_values[0] / f.singular_values[-1])
+    kappa = float(s[0] / s[rank - 1])
     lhs = float(np.linalg.norm(theta1 - theta2) / norm2)
     rhs = float(kappa * np.linalg.norm(a.matrix @ theta1 - a2) / norm_a2)
     return StabilityBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 + 1e-10))
@@ -177,11 +180,11 @@ def perturbation_amplification(
     data_perturbed = np.asarray(data_perturbed, dtype=float)
     if data.shape != (a.rows,) or data_perturbed.shape != (a.rows,):
         raise InvalidInputError(f"data vectors must have shape ({a.rows},)")
-    if not is_identifiable_linear(a):
+    f = svd(a)
+    if f.rank != a.cols:
         raise InvalidInputError("perturbation amplification requires an identifiable operator")
-    pinv = pseudoinverse(a).matrix
-    sol_ref = pinv @ data
-    sol_pert = pinv @ data_perturbed
+    sol_ref = _tsvd_from_factors(f, data, f.rank)
+    sol_pert = _tsvd_from_factors(f, data_perturbed, f.rank)
     norm_data = np.linalg.norm(data)
     norm_sol = np.linalg.norm(sol_ref)
     norm_diff = np.linalg.norm(data_perturbed - data)

@@ -1,8 +1,13 @@
 """Dense real linear operators: SVD, pseudo-inverse, and resolution projectors.
 
-The factorization is delegated to LAPACK via ``numpy.linalg.svd``, once per
-operator; everything here is about rank decisions, the generalized inverse,
-and the identifiability tests built on top of that one factorization.
+The factorization is delegated to LAPACK via ``numpy.linalg.svd`` and cached
+on the operator in two stages: the singular values alone, which is all a
+rank or conditioning decision reads, and the singular vectors, which solves
+and null spaces need.  Each stage runs at most once per operator, and both
+stages share one array of singular values, so every rank decision on an
+operator reads the same numbers.  Everything here is about rank decisions,
+the generalized inverse, and the identifiability tests built on top of that
+one cached factorization.
 """
 
 from __future__ import annotations
@@ -19,6 +24,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _lapack_svd(matrix: np.ndarray, **kwargs):
+    """``numpy.linalg.svd``, with LAPACK non-convergence as NumericalFailureError."""
+    try:
+        return np.linalg.svd(matrix, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,15 +81,25 @@ class DenseOperator:
         return self.matrix.ravel()
 
     @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Read-only nonincreasing singular values, computed on first use.
+
+        Taken from :attr:`_factors` when those exist; otherwise LAPACK
+        computes the values alone, several times cheaper than with vectors.
+        """
+        if "_factors" in self.__dict__:
+            return self._factors[1]
+        return _freeze(_lapack_svd(self.matrix, compute_uv=False))
+
+    @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only ``(U, sigma, V)`` of the one SVD, computed on first use.
+        """Read-only ``(U, sigma, V)`` of the SVD, computed on first use.
 
         U is thin; V is complete, so a wide operator keeps its null space.
+        If :attr:`_spectrum` came first, sigma is that same array.
         """
-        try:
-            u, s, vt = np.linalg.svd(self.matrix, full_matrices=self.rows < self.cols)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
+        u, s, vt = _lapack_svd(self.matrix, full_matrices=self.rows < self.cols)
+        s = self.__dict__.get("_spectrum", s)
         return _freeze(u), _freeze(s), _freeze(vt.T)
 
 
@@ -121,6 +144,23 @@ def default_rtol(a: DenseOperator) -> float:
     return max(a.rows, a.cols) * float(np.finfo(float).eps)
 
 
+def _numerical_rank(
+    a: DenseOperator, rtol: float | None, vectors: bool = False
+) -> tuple[float, np.ndarray, int]:
+    """``(rtol, sigma, rank)``: the validated tolerance, the operator's
+    singular values and how many of them exceed ``rtol * sigma_max``.
+
+    Reads the values-only stage of the cache unless ``vectors`` asks for
+    the full factorization first.
+    """
+    if rtol is None:
+        rtol = default_rtol(a)
+    if rtol < 0:
+        raise InvalidInputError(f"rtol must be >= 0, got {rtol}")
+    s = a._factors[1] if vectors else a._spectrum
+    return rtol, s, int(np.sum(s > rtol * s[0]))
+
+
 def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
     """Singular value decomposition with relative rank truncation.
 
@@ -137,12 +177,8 @@ def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
         Relative truncation threshold, >= 0.  Defaults to
         ``max(rows, cols) * machine epsilon``.
     """
-    if rtol is None:
-        rtol = default_rtol(a)
-    if rtol < 0:
-        raise InvalidInputError(f"rtol must be >= 0, got {rtol}")
-    u, s, v = a._factors
-    rank = int(np.sum(s > rtol * s[0]))
+    rtol, s, rank = _numerical_rank(a, rtol, vectors=True)
+    u, _, v = a._factors
     return SvdFactors(
         left_vectors=u[:, :rank],
         singular_values=s[:rank],
@@ -186,7 +222,7 @@ def model_resolution(a: DenseOperator, rtol: float | None = None) -> DenseOperat
 
 def is_identifiable_linear(a: DenseOperator, rtol: float | None = None) -> bool:
     """True iff the numerical rank equals the number of columns."""
-    return svd(a, rtol).rank == a.cols
+    return _numerical_rank(a, rtol)[2] == a.cols
 
 
 def null_space(a: DenseOperator, rtol: float | None = None) -> np.ndarray:

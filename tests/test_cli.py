@@ -88,6 +88,31 @@ class TestAnalyze:
         b = run_cli("analyze", str(workdir / "identity.csv"))
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("text", ["", " \n\n"], ids=["empty", "blank"])
+    def test_file_without_data_exit_2(self, tmp_path, text):
+        path = tmp_path / "nodata.csv"
+        path.write_text(text)
+        res = run_cli("analyze", str(path))
+        assert res.returncode == 2
+        assert res.stderr == f"error: {path}: no data rows\n"
+
+    @pytest.mark.parametrize(
+        "param, flags, message",
+        [
+            ("param_x.csv", ["--kappa-threshold", "1"], "kappa_threshold must exceed 1"),
+            ("param_x.csv", ["--rtol", "-1"], "rtol must be >= 0"),
+            ("bad.csv", [], "bad.csv:2"),
+            ("data2.csv", [], "same parameter space"),
+        ],
+    )
+    def test_bad_argument_with_param_exit_2(self, workdir, param, flags, message):
+        res = run_cli(
+            "analyze", str(workdir / "identity.csv"), "--param", str(workdir / param), *flags
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert message in res.stderr
+
 
 class TestSolve:
     def test_plain_solve(self, workdir):
@@ -137,6 +162,14 @@ class TestSolve:
         )
         assert res.returncode == 2
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("data, message", [("1\n2\n3\n", "shape (2,)"), ("1\nnan\n", "finite")])
+    def test_bad_data_without_method_exit_2(self, workdir, data, message):
+        (workdir / "bad_data.csv").write_text(data)
+        res = run_cli("solve", str(workdir / "identity.csv"), str(workdir / "bad_data.csv"))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert message in res.stderr
 
     def test_noise_with_lambda_conflict(self, workdir):
         res = run_cli(

@@ -120,6 +120,16 @@ class TestStabilityBound:
         with pytest.raises(InvalidInputError):
             stability_bound_check(DenseOperator([[1.0, 1.0]]), np.ones(2), np.ones(2))
 
+    def test_rank_tolerance_decides_identifiability(self):
+        # sigma_min / sigma_max = 1e-12 is kept at the default tolerance
+        # (2 * eps) and dropped at rtol 1e-9, as diagnose drops it
+        a = DenseOperator(np.diag([1.0, 1e-12]))
+        t1, t2 = np.array([1.0, 1.0]), np.array([1.0, 0.0])
+        assert stability_bound_check(a, t1, t2).holds
+        assert not diagnose(a, rtol=1e-9).identifiable
+        with pytest.raises(InvalidInputError, match="identifiable"):
+            stability_bound_check(a, t1, t2, rtol=1e-9)
+
 
 class TestBoundedAwayFromZero:
     def test_diagonal(self):

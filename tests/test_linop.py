@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from illposed import diagnostics, regularization
+from illposed import cli, diagnostics, regularization
 from illposed.errors import InvalidInputError, NumericalFailureError
 from illposed.linop import (
     DenseOperator,
@@ -236,6 +236,17 @@ def count_lapack_svd(monkeypatch, fail=False):
     return calls
 
 
+def svd_kinds(calls):
+    """'values' or 'thin'/'full' for each recorded ``np.linalg.svd`` call."""
+    kinds = []
+    for kwargs in calls:
+        if not kwargs.get("compute_uv", True):
+            kinds.append("values")
+        else:
+            kinds.append("full" if kwargs.get("full_matrices", True) else "thin")
+    return kinds
+
+
 @st.composite
 def rank_deficient_operators(draw):
     rows = draw(st.integers(1, 8))
@@ -270,9 +281,41 @@ class TestSharedFactorization:
         regularization.restriction_sequence(a, d, [1, 3, 6])
         assert len(calls) == 1
 
+    def test_diagnose_alone_computes_values_only(self, monkeypatch):
+        a = random_full_rank(6, 6)
+        calls = count_lapack_svd(monkeypatch)
+        diagnostics.diagnose(a)
+        assert svd_kinds(calls) == ["values"]
+
+    def test_diagnose_after_svd_reuses_its_values(self, monkeypatch):
+        a = random_full_rank(6, 6)
+        calls = count_lapack_svd(monkeypatch)
+        f = svd(a)
+        report = diagnostics.diagnose(a)
+        assert svd_kinds(calls) == ["thin"]
+        assert np.array_equal(report.spectrum, f.spectrum)
+
+    def test_svd_after_diagnose_adopts_its_values(self, monkeypatch):
+        a = random_full_rank(6, 6)
+        calls = count_lapack_svd(monkeypatch)
+        report = diagnostics.diagnose(a)
+        f = svd(a)
+        assert svd_kinds(calls) == ["values", "thin"]
+        assert np.array_equal(f.spectrum, report.spectrum)
+        assert a._factors[1] is a._spectrum
+
+    def test_analyze_with_param_factors_once(self, monkeypatch, tmp_path, capsys):
+        a, q = tmp_path / "a.csv", tmp_path / "q.csv"
+        a.write_text("1,1,0\n1,1,0\n0,0,1\n")
+        q.write_text("2,2,-1\n")
+        calls = count_lapack_svd(monkeypatch)
+        assert cli.run(["analyze", str(a), "--param", str(q)]) == 0
+        assert svd_kinds(calls) == ["thin"]
+        assert '"parameter_identifiable": true' in capsys.readouterr().out
+
     def test_lapack_failure_is_numerical_failure(self, monkeypatch):
         count_lapack_svd(monkeypatch, fail=True)
-        for fn in (svd, null_space):
+        for fn in (svd, null_space, diagnostics.diagnose):
             with pytest.raises(NumericalFailureError, match="did not converge"):
                 fn(DenseOperator(np.eye(3)))
 
