@@ -5,18 +5,21 @@ the right-endpoint rule on a uniform grid so that the operator is exactly
 lower-triangular with constant entries.  Its inverse is first differences,
 which makes the instability of the problem reproducible in closed form: a
 right-hand-side wiggle of amplitude delta comes back as a solution wiggle
-of amplitude one.
+of amplitude one.  The operator's singular value decomposition is known in
+closed form too, so the operator :func:`heaviside_operator` returns factors
+itself without LAPACK, and its condition number is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .linop import DenseOperator
+from .linop import DenseOperator, _freeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +87,65 @@ def _is_cumulative(k: np.ndarray, h: float, atol: float) -> bool:
     )
 
 
+class _CumulativeOperator(DenseOperator):
+    """The n x n cumulative operator K = h * tril(1), with its SVD in closed form.
+
+    With c = pi / (2(2n+1)) and i, k = 1..n (Strang, "The Discrete Cosine
+    Transform", SIAM Review 41:135, 1999, the sine and cosine bases of a
+    second difference with mixed boundary conditions):
+
+    - sigma_k = h / (2 sin((2k-1) c)), nonincreasing in k;
+    - U_ik = sqrt(4/(2n+1)) sin(2i(2k-1) c);
+    - V_ik = sqrt(4/(2n+1)) cos((2i-1)(2k-1) c).
+
+    Both cache stages of :class:`DenseOperator` are replaced: the spectrum
+    costs O(n), and the n x n factors are built on first use, never by the
+    constructor.  Only :func:`heaviside_operator` makes one; a matrix read
+    from a file keeps the LAPACK path whatever its entries.
+    """
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        n = self.rows
+        odd = np.arange(1, 2 * n, 2)
+        return _freeze((1.0 / n) / (2.0 * np.sin(odd * (math.pi / (2 * (2 * n + 1))))))
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = self.rows
+        odd = np.arange(1, 2 * n, 2)
+        u = _trig_basis(np.sin, odd + 1, odd, n)
+        v = _trig_basis(np.cos, odd, odd, n)
+        return u, self._spectrum, v
+
+
+def _trig_basis(fn, row_mult: np.ndarray, col_mult: np.ndarray, n: int) -> np.ndarray:
+    """Read-only n x n array ``sqrt(4/(2n+1)) * fn(row_mult[i] * col_mult[k] * c)``.
+
+    fn(m c) has period 4(2n+1) in the integer m, so each product is reduced
+    modulo that period and looked up in a table of one period: no argument
+    exceeds 2 pi, and each distinct entry is computed once.
+    """
+    period = 4 * (2 * n + 1)
+    table = fn(np.arange(period) * (2.0 * math.pi / period)) * math.sqrt(4.0 / (2 * n + 1))
+    m = np.multiply.outer(row_mult, col_mult)
+    m %= period
+    return _freeze(table[m])
+
+
 def heaviside_operator(n: int) -> DenseOperator:
     """n x n cumulative-integration operator: K[i, j] = h for j <= i, else 0.
 
     (K f)_i is the right-endpoint Riemann sum of f over [0, y_i].  K is
-    invertible; its inverse is the scaled first-difference operator.
+    invertible; its inverse is the scaled first-difference operator.  The
+    returned operator supplies its SVD in closed form, on first use.
     """
     if n < 2:
         raise InvalidInputError(f"need n >= 2 grid points, got {n}")
     k = np.tri(n)
     k /= n
     k.flags.writeable = False  # a frozen array is adopted without a copy
-    return DenseOperator(k)
+    return _CumulativeOperator(k)
 
 
 def oscillation_delta(n_osc: int) -> float:

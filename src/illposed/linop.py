@@ -1,13 +1,15 @@
 """Dense real linear operators: SVD, pseudo-inverse, and resolution projectors.
 
-The factorization is delegated to LAPACK via ``numpy.linalg.svd`` and cached
-on the operator in two stages: the singular values alone, which is all a
-rank or conditioning decision reads, and the singular vectors, which solves
-and null spaces need.  Each stage runs at most once per operator, and both
-stages share one array of singular values, so every rank decision on an
-operator reads the same numbers.  Everything here is about rank decisions,
-the generalized inverse, and the identifiability tests built on top of that
-one cached factorization.
+The factorization is cached on the operator in two stages: the singular
+values alone, which is all a rank or conditioning decision reads, and the
+singular vectors, which solves and null spaces need.  A general operator
+delegates both stages to LAPACK via ``numpy.linalg.svd``; a subclass whose
+SVD is known in closed form overrides them, as the cumulative operator of
+:func:`illposed.fredholm.heaviside_operator` does.  Each stage runs at most
+once per operator, and both stages share one array of singular values, so
+every rank decision on an operator reads the same numbers.  Everything here
+is about rank decisions, the generalized inverse, and the identifiability
+tests built on top of that one cached factorization.
 """
 
 from __future__ import annotations

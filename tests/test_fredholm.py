@@ -4,7 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from illposed import cli
+from illposed.diagnostics import diagnose
 from illposed.errors import InvalidInputError
+from illposed.fileio import matrix_to_csv, vector_to_csv
 from illposed.fredholm import (
     FredholmProblem,
     Grid,
@@ -19,6 +22,8 @@ from illposed.fredholm import (
     solve_unregularized,
 )
 from illposed.linop import DenseOperator, svd
+from illposed.regularization import tikhonov_solve
+from test_linop import count_lapack_svd, svd_kinds
 
 RNG = np.random.default_rng(7)
 
@@ -236,3 +241,120 @@ class TestConditioningLink:
             s = svd(heaviside_operator(n)).singular_values
             kappas.append(s[0] / s[-1])
         assert all(b >= a for a, b in zip(kappas, kappas[1:]))
+
+
+class TestClosedFormSvd:
+    """The closed-form SVD of heaviside_operator, with LAPACK as the oracle."""
+
+    SIZES = [2, 3, 16, 17, 256, 1000]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_lapack(self, n):
+        k = heaviside_operator(n)
+        u, s, v = k._factors
+        # a plain DenseOperator over the same matrix factors through LAPACK
+        s_lapack = DenseOperator(k.matrix)._factors[1]
+        assert np.max(np.abs(s - s_lapack) / s_lapack) <= 1e-13
+        assert np.max(np.abs((u * s) @ v.T - k.matrix)) <= 1e-14 * s[0]
+        assert np.max(np.abs(u.T @ u - np.eye(n))) <= 1e-13
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-13
+        assert np.all(np.diff(s) <= 0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_condition_number_is_exact(self, n):
+        c = math.pi / (2 * (2 * n + 1))
+        kappa = diagnose(heaviside_operator(n)).condition_number
+        assert kappa == pytest.approx(math.sin((2 * n - 1) * c) / math.sin(c), rel=1e-13)
+
+    def test_results_are_read_only_and_c_ordered(self):
+        k = heaviside_operator(17)
+        f = svd(k)
+        for a in (f.left_vectors, f.singular_values, f.right_vectors, *k._factors):
+            assert not a.flags.writeable
+            assert a.flags.c_contiguous
+
+    def test_both_stages_share_one_spectrum(self):
+        values_first = heaviside_operator(16)
+        spectrum = values_first._spectrum
+        assert values_first._factors[1] is spectrum
+        vectors_first = heaviside_operator(16)
+        factors = vectors_first._factors
+        assert factors[1] is vectors_first._spectrum
+
+    def test_factors_are_lazy(self):
+        k = heaviside_operator(16)
+        assert "_factors" not in vars(k)
+        diagnose(k)
+        assert "_factors" not in vars(k)
+
+
+class TestClosedFormSvdCalls:
+    """The closed form replaces LAPACK only for the operator heaviside_operator builds."""
+
+    @pytest.mark.parametrize("n", [16, 1000])
+    def test_diagnose_makes_no_lapack_call(self, monkeypatch, n):
+        calls = count_lapack_svd(monkeypatch)
+        diagnose(heaviside_operator(n))
+        assert calls == []
+
+    @pytest.mark.parametrize("regularize", ["--lambda", "--noise"])
+    def test_fredholm_demo_makes_no_lapack_call(self, monkeypatch, capsys, tmp_path, regularize):
+        n, n_osc = 1000, 8
+        grid = Grid(n)
+        noise = float(np.linalg.norm(ramp_rhs(grid, n_osc) - ramp_rhs(grid)))
+        value = "1e-4" if regularize == "--lambda" else repr(noise)
+        calls = count_lapack_svd(monkeypatch)
+        code = cli.run([
+            "fredholm-demo", "--n", str(n), "--n-osc", str(n_osc),
+            regularize, value, "--out", str(tmp_path / "demo.csv"),
+        ])
+        assert code == 0
+        assert "regularized_sup_deviation" in capsys.readouterr().out
+        assert calls == []
+
+    def test_cumulative_csv_keeps_lapack(self, monkeypatch, capsys, tmp_path):
+        # input that happens to hold the cumulative pattern is not special-cased
+        n = 64
+        matrix = tmp_path / "cumulative.csv"
+        matrix.write_text(matrix_to_csv(heaviside_operator(n).matrix))
+        data = tmp_path / "rhs.csv"
+        data.write_text(vector_to_csv(ramp_rhs(Grid(n), 2)))
+        calls = count_lapack_svd(monkeypatch)
+        code = cli.run(["solve", str(matrix), str(data), "--method", "tikhonov",
+                        "--lambda", "1e-4", "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        capsys.readouterr()
+        assert svd_kinds(calls) == ["thin"]
+
+
+class TestTikhonovSupNormFloor:
+    def test_no_lambda_reaches_the_stated_bound(self):
+        # min over lambda of sup|f_lambda - 1| on the perturbed problem.  At
+        # small lambda the oscillation passes through; at large lambda only
+        # the leading right singular vectors survive, and they are small at
+        # y = 1, so the solution sags there.  The worst point of the best
+        # lambda is the last trough of the oscillation, y = 15/16, not y = 1.
+        problem = ramp_problem(1000, 8)
+        f = svd(problem.operator)
+        s = f.singular_values
+        lams = np.logspace(-10, 0, 2001)
+        solutions = ((s / (s**2 + lams[:, None])) * (f.left_vectors.T @ problem.rhs)) @ (
+            f.right_vectors.T
+        )
+        deviation = np.abs(solutions - 1.0)
+        sup = deviation.max(axis=1)
+        best = int(np.argmin(sup))
+        assert 0.81 <= sup[best] <= 0.83
+        assert 5e-5 <= lams[best] <= 2e-4
+        assert problem.grid.points[np.argmax(deviation[best])] == pytest.approx(15 / 16, abs=2e-3)
+        for i in (0, best, lams.size - 1):
+            oracle = tikhonov_solve(problem.operator, problem.rhs, lams[i])
+            assert np.max(np.abs(solutions[i] - oracle)) <= 1e-10
+
+    def test_right_singular_vectors_do_not_all_vanish_at_one(self):
+        n = 1000
+        last_row = np.abs(heaviside_operator(n)._factors[2][-1])
+        # |V_nk| = sqrt(4/(2n+1)) |sin(2(2k-1)c)|: small for the leading
+        # vectors only
+        assert last_row[0] == pytest.approx(7.0e-5, rel=0.01)
+        assert np.max(last_row) == pytest.approx(math.sqrt(4 / (2 * n + 1)), rel=1e-5)
