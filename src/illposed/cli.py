@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 2 malformed input or violated precondition,
 3 numerical failure.  All output is deterministic; floats carry 17
-significant digits.
+significant digits.  An option the chosen mode never reads is an error
+(exit 2), not silently dropped.
+
+Each handler imports the numeric modules it needs, so ``finite-check``
+runs without importing numpy.
 """
 
 from __future__ import annotations
@@ -11,19 +15,8 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from . import diagnostics, finite_maps, fredholm, regularization, robustness
 from .errors import IllposedError, InvalidInputError, NumericalFailureError
-from .fileio import (
-    json_flat,
-    read_distribution_csv,
-    read_matrix_csv,
-    read_vector_csv,
-    table_to_csv,
-    vector_to_csv,
-)
-from .linop import linear_parameter_identifiable, svd
+from .fileio import json_flat
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify an operator from a CSV matrix")
     p.add_argument("matrix", help="CSV matrix, one row per line, no header")
     p.add_argument("--rtol", type=float, default=None, help="rank tolerance")
-    p.add_argument("--kappa-threshold", type=float, default=diagnostics.DEFAULT_KAPPA_THRESHOLD)
+    p.add_argument("--kappa-threshold", type=float, default=None,
+                   help="condition numbers above this count as ill-conditioned")
     p.add_argument("--param", default=None, help="CSV matrix of a linear parameter map")
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
@@ -50,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=None,
                    help="Euclidean norm of the data error: select lambda by the "
                    "discrepancy principle")
-    p.add_argument("--tau", type=float, default=1.0, help="discrepancy safety factor")
+    p.add_argument("--tau", type=float, default=None,
+                   help="with --noise: discrepancy safety factor (default 1)")
     p.add_argument("--out", default=None, help="write the solution CSV here")
 
     p = sub.add_parser("fredholm-demo", help="reproduce the integral-equation instability")
@@ -61,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=None,
                    help="Euclidean norm of the data error: also solve with a "
                    "discrepancy-selected Tikhonov weight")
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=None,
+                   help="with --noise: discrepancy safety factor (default 1)")
     p.add_argument("--out", default=None, help="write the plot CSV here")
 
     p = sub.add_parser("influence", help="influence profile of a functional")
@@ -72,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the profile CSV here")
 
     p = sub.add_parser("finite-check", help="verify the finite-map theorems exhaustively")
-    p.add_argument("--max-domain", type=int, default=4)
-    p.add_argument("--max-codomain", type=int, default=4)
+    p.add_argument("--max-domain", type=int, default=None, help="sweep bound (default 4)")
+    p.add_argument("--max-codomain", type=int, default=None, help="sweep bound (default 4)")
     p.add_argument("--map", dest="map_text", default=None,
                    help="check one map 'dom cod : t0,t1,...' instead of sweeping")
     p.add_argument("--param", dest="param_text", default=None,
@@ -90,7 +86,25 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _tau(args) -> float:
+    """The discrepancy safety factor, 1 unless given; only --noise reads it."""
+    if args.tau is None:
+        return 1.0
+    if args.noise is None:
+        raise InvalidInputError("--tau is read only with --noise")
+    return args.tau
+
+
 def _cmd_analyze(args) -> int:
+    from . import diagnostics
+    from .fileio import read_matrix_csv
+    from .linop import linear_parameter_identifiable
+
+    kappa_threshold = (
+        diagnostics.DEFAULT_KAPPA_THRESHOLD
+        if args.kappa_threshold is None
+        else args.kappa_threshold
+    )
     a = read_matrix_csv(args.matrix)
     # the identifiability test needs singular vectors; running it first lets
     # diagnose read their singular values instead of a second, values-only SVD
@@ -98,7 +112,7 @@ def _cmd_analyze(args) -> int:
     if args.param is not None:
         q = read_matrix_csv(args.param)
         extra["parameter_identifiable"] = linear_parameter_identifiable(a, q, rtol=args.rtol)
-    report = diagnostics.diagnose(a, rtol=args.rtol, kappa_threshold=args.kappa_threshold)
+    report = diagnostics.diagnose(a, rtol=args.rtol, kappa_threshold=kappa_threshold)
     _emit(json_flat({**report.to_dict(), **extra}), args.out)
     return 0
 
@@ -108,11 +122,23 @@ def _cmd_solve(args) -> int:
         raise InvalidInputError("--noise and --lambda are mutually exclusive")
     if args.noise is not None and args.method == "tsvd":
         raise InvalidInputError("--noise selects a Tikhonov weight; not valid with tsvd")
+    if args.lam is not None and args.method != "tikhonov":
+        raise InvalidInputError("--lambda is read only by --method tikhonov")
+    if args.k is not None and args.method != "tsvd":
+        raise InvalidInputError("--k is read only by --method tsvd")
+    tau = _tau(args)
+
+    import numpy as np
+
+    from . import regularization
+    from .fileio import read_matrix_csv, read_vector_csv, vector_to_csv
+    from .linop import svd
+
     a = read_matrix_csv(args.matrix)
     d = read_vector_csv(args.data)
 
     if args.noise is not None:
-        lam = regularization.discrepancy_select(a, d, args.noise, args.tau)
+        lam = regularization.discrepancy_select(a, d, args.noise, tau)
         x = regularization.tikhonov_solve(a, d, lam)
         method, parameter = "tikhonov", lam
     elif args.method == "tikhonov":
@@ -126,8 +152,6 @@ def _cmd_solve(args) -> int:
         x = regularization.tsvd_solve(a, d, args.k)
         method, parameter = "tsvd", args.k
     else:
-        if args.lam is not None or args.k is not None:
-            raise InvalidInputError("--lambda/--k require --method tikhonov/tsvd")
         f = svd(a)
         x = regularization._tsvd_from_factors(f, regularization._check_data(a, d), f.rank)
         method, parameter = "none", None
@@ -146,6 +170,13 @@ def _cmd_solve(args) -> int:
 def _cmd_fredholm_demo(args) -> int:
     if args.lam is not None and args.noise is not None:
         raise InvalidInputError("--lambda and --noise are mutually exclusive")
+    tau = _tau(args)
+
+    import numpy as np
+
+    from . import fredholm, regularization
+    from .fileio import table_to_csv
+
     grid, clean, rhs, recovered, result = fredholm._perturbed_solve(args.n, args.n_osc)
     analytic = fredholm.analytic_perturbed_solution(grid, args.n_osc)
 
@@ -162,7 +193,7 @@ def _cmd_fredholm_demo(args) -> int:
         lam = (
             args.lam
             if args.lam is not None
-            else regularization.discrepancy_select(k, rhs, args.noise, args.tau)
+            else regularization.discrepancy_select(k, rhs, args.noise, tau)
         )
         regularized = regularization.tikhonov_solve(k, rhs, lam)
         header.append("f_regularized")
@@ -175,7 +206,9 @@ def _cmd_fredholm_demo(args) -> int:
     return 0
 
 
-def _parse_functional(text: str) -> robustness.FunctionalKind:
+def _parse_functional(text: str):
+    from . import robustness
+
     if text == "mean":
         return robustness.MEAN
     if text == "median":
@@ -189,7 +222,9 @@ def _parse_functional(text: str) -> robustness.FunctionalKind:
     raise InvalidInputError(f"unknown functional {text!r}; use mean, median, or trimmed:<frac>")
 
 
-def _parse_probes(text: str) -> np.ndarray:
+def _parse_probes(text: str):
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidInputError(f"--probes wants min:max:count, got {text!r}")
@@ -205,6 +240,9 @@ def _parse_probes(text: str) -> np.ndarray:
 
 
 def _cmd_influence(args) -> int:
+    from . import robustness
+    from .fileio import read_distribution_csv, table_to_csv
+
     dist = read_distribution_csv(args.distribution)
     kind = _parse_functional(args.functional)
     probes = _parse_probes(args.probes)
@@ -222,9 +260,15 @@ def _cmd_influence(args) -> int:
 
 
 def _cmd_finite_check(args) -> int:
+    from . import finite_maps
+
     if args.param_text is not None and args.map_text is None:
         raise InvalidInputError("--param needs --map: it is checked against that map")
     if args.map_text is not None:
+        if args.max_domain is not None or args.max_codomain is not None:
+            raise InvalidInputError(
+                "--max-domain/--max-codomain bound the sweep; not valid with --map"
+            )
         p = finite_maps.parse_finite_map(args.map_text)
         estimator = finite_maps.fisher_consistent_estimator(p)
         payload = {
@@ -244,20 +288,20 @@ def _cmd_finite_check(args) -> int:
         _emit(json_flat(payload), args.out)
         return 0
 
-    if not 1 <= args.max_domain <= 5 or not 1 <= args.max_codomain <= 5:
+    max_domain = 4 if args.max_domain is None else args.max_domain
+    max_codomain = 4 if args.max_codomain is None else args.max_codomain
+    if not 1 <= max_domain <= 5 or not 1 <= max_codomain <= 5:
         raise InvalidInputError(
-            f"sweep bounds must lie in [1, 5], got max-domain {args.max_domain}, "
-            f"max-codomain {args.max_codomain}"
+            f"sweep bounds must lie in [1, 5], got max-domain {max_domain}, "
+            f"max-codomain {max_codomain}"
         )
-    t1_checked, t1_bad = finite_maps.check_fisher_consistency_theorem(
-        args.max_domain, args.max_codomain
-    )
+    t1_checked, t1_bad = finite_maps.check_fisher_consistency_theorem(max_domain, max_codomain)
     t2_checked, t2_bad = finite_maps.check_parameter_equivalence_theorem(
-        args.max_domain, args.max_codomain
+        max_domain, max_codomain
     )
     payload = {
-        "max_domain": args.max_domain,
-        "max_codomain": args.max_codomain,
+        "max_domain": max_domain,
+        "max_codomain": max_codomain,
         "theorem1_maps_checked": t1_checked,
         "theorem1_counterexamples": t1_bad,
         "theorem2_pairs_checked": t2_checked,

@@ -10,6 +10,9 @@ character numpy would strip from a field and ``float`` would not, the file
 is parsed again line by line in Python.  That parser accepts exactly the
 inputs the readers have always accepted (blank lines, underscores in
 numbers) and reports errors as ``path:lineno: message``.
+
+The module imports numpy only inside the readers and writers that use it,
+so ``fmt_float`` and ``json_flat`` run without it.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ import json
 import math
 import warnings
 
-import numpy as np
-
 from .errors import ParseError
-from .linop import DenseOperator
-from .robustness import EmpiricalDistribution
 
 
 def fmt_float(x: float) -> str:
@@ -74,6 +73,8 @@ def _has_separators(path: str) -> bool:
 
 def _load(path: str, n_fields: int | None = None) -> np.ndarray:
     """The rows of a CSV as a 2-D float array, as :func:`_parse_rows` reads them."""
+    import numpy as np
+
     try:
         with warnings.catch_warnings():
             # numpy only warns about a file without data; here it is an error
@@ -88,6 +89,8 @@ def _load(path: str, n_fields: int | None = None) -> np.ndarray:
 
 def read_matrix_csv(path: str) -> DenseOperator:
     """Read a headerless CSV of decimal reals; dimensions are inferred."""
+    from .linop import DenseOperator
+
     rows = _load(path)
     rows.flags.writeable = False  # so the operator adopts it without a copy
     return DenseOperator(rows)
@@ -100,16 +103,22 @@ def read_vector_csv(path: str) -> np.ndarray:
 
 def read_distribution_csv(path: str) -> EmpiricalDistribution:
     """Read (location, weight) rows into an EmpiricalDistribution."""
+    from .robustness import EmpiricalDistribution
+
     locations, weights = _load(path, n_fields=2).T
     return EmpiricalDistribution(locations, weights)
 
 
 def matrix_to_csv(matrix: np.ndarray) -> str:
+    import numpy as np
+
     arr = np.atleast_2d(np.asarray(matrix, dtype=float))
     return "\n".join(",".join(fmt_float(v) for v in row) for row in arr) + "\n"
 
 
 def vector_to_csv(vec: np.ndarray) -> str:
+    import numpy as np
+
     return "\n".join(fmt_float(v) for v in np.asarray(vec, dtype=float)) + "\n"
 
 
@@ -121,17 +130,19 @@ def table_to_csv(header: list[str], columns: list[np.ndarray]) -> str:
 
 
 def _json_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    if hasattr(v, "tolist"):  # a numpy scalar or array, as Python values
+        v = v.tolist()
+    if isinstance(v, bool):
         return "true" if v else "false"
     if v is None:
         return "null"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, int):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt_float(float(v))
+    if isinstance(v, float):
+        return fmt_float(v)
     if isinstance(v, str):
         return json.dumps(v)
-    if isinstance(v, (list, tuple, np.ndarray)):
+    if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(item) for item in v) + "]"
     raise TypeError(f"cannot serialize {type(v).__name__}")
 

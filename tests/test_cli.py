@@ -178,6 +178,36 @@ class TestSolve:
         )
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "tikhonov", "--lambda", "1e-4", "--k", "1"], "--k is read only"),
+            (["--method", "tsvd", "--k", "1", "--lambda", "1e-4"], "--lambda is read only"),
+            (["--noise", "0.1", "--k", "1"], "--k is read only"),
+            (["--method", "none", "--k", "1"], "--k is read only"),
+            (["--tau", "2"], "--tau is read only with --noise"),
+            (["--method", "tikhonov", "--lambda", "1", "--tau", "2"], "--tau is read only"),
+        ],
+    )
+    def test_option_the_method_never_reads_exit_2(self, workdir, flags, message):
+        res = run_cli(
+            "solve", str(workdir / "identity.csv"), str(workdir / "data2.csv"), *flags
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert message in res.stderr
+
+    def test_tau_with_noise(self, workdir):
+        res = run_cli(
+            "solve", str(workdir / "identity.csv"), str(workdir / "data2.csv"),
+            "--noise", "0.1", "--tau", "1.5",
+        )
+        assert res.returncode == 0
+        report = json.loads("\n".join(res.stdout.splitlines()[2:]))
+        assert report["method"] == "tikhonov"
+        # the discrepancy principle hits tau * noise within its 1% tolerance
+        assert report["residual"] == pytest.approx(0.15, rel=0.01)
+
     def test_unattainable_noise_exit_2(self, workdir):
         res = run_cli(
             "solve", str(workdir / "identity.csv"), str(workdir / "data2.csv"),
@@ -221,6 +251,13 @@ class TestFredholmDemo:
         res = run_cli("fredholm-demo", "--n", "0", "--n-osc", "1")
         assert res.returncode == 2
         assert "grid size" in res.stderr
+
+    @pytest.mark.parametrize("flags", [[], ["--lambda", "1e-4"]])
+    def test_tau_without_noise_exit_2(self, flags):
+        res = run_cli("fredholm-demo", "--n", "200", "--n-osc", "1", "--tau", "2", *flags)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--tau is read only with --noise" in res.stderr
 
 
 class TestInfluence:
@@ -323,8 +360,65 @@ class TestFiniteCheck:
         assert report["parameter_identifiable_standard"] is False
         assert report["parameter_identifiable_sections"] is False
 
+    @pytest.mark.parametrize("flag", ["--max-domain", "--max-codomain"])
+    def test_sweep_bound_with_map_exit_2(self, flag):
+        res = run_cli("finite-check", "--map", "3 3 : 0,1,2", flag, "4")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "not valid with --map" in res.stderr
+
+    def test_one_bound_keeps_the_other_default(self):
+        res = run_cli("finite-check", "--max-domain", "2")
+        report = json.loads(res.stdout)
+        assert (report["max_domain"], report["max_codomain"]) == (2, 4)
+        assert report["theorem1_maps_checked"] == sum(c**d for d in (1, 2) for c in range(1, 5))
+
     def test_single_injective_map(self):
         res = run_cli("finite-check", "--map", "2 3 : 0,1")
         report = json.loads(res.stdout)
         assert report["injective"] is True
         assert report["estimator"] == "3 2 : 0,1,0"
+
+
+def numpy_free_run(*args):
+    """Run the CLI in a fresh interpreter and fail it if numpy was imported."""
+    code = (
+        "import sys\n"
+        "from illposed.cli import run\n"
+        "status = run(sys.argv[1:])\n"
+        "if 'numpy' in sys.modules:\n"
+        "    sys.exit('numpy was imported')\n"
+        "sys.exit(status)\n"
+    )
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+    return subprocess.run(
+        [sys.executable, "-B", "-c", code, *args], capture_output=True, text=True, env=env
+    )
+
+
+class TestNumpyFree:
+    def test_import_cli(self):
+        code = "import sys, illposed.cli; sys.exit('numpy' in sys.modules)"
+        res = subprocess.run(
+            [sys.executable, "-B", "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+        )
+        assert res.returncode == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["finite-check"],
+            ["finite-check", "--max-domain", "3", "--max-codomain", "2"],
+            ["finite-check", "--map", "4 3 : 0,1,1,2"],
+            ["finite-check", "--map", "4 3 : 0,1,1,2", "--param", "4 2 : 0,0,1,1"],
+        ],
+    )
+    def test_finite_check(self, args):
+        res = numpy_free_run(*args)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)
+
+    def test_finite_check_error_path(self):
+        res = numpy_free_run("finite-check", "--max-domain", "6")
+        assert res.returncode == 2
+        assert "[1, 5]" in res.stderr

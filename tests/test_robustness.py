@@ -267,6 +267,90 @@ class TestInfluenceProfile:
         with pytest.raises(InvalidInputError):
             influence_profile(MEAN, UNIFORM9, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_probes_must_be_finite(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            influence_profile(MEAN, UNIFORM9, np.array([1.0, bad]))
+
+
+def oracle_profile(t, f, probes):
+    """influence_profile's values and variance from one influence_function call per point."""
+    values = np.array([influence_function(t, f, y) for y in probes])
+    at_atoms = np.array([influence_function(t, f, y) for y in f.locations])
+    return values, float(np.dot(f.weights, at_atoms**2))
+
+
+class TestVectorizedProfile:
+    """The one-pass profile against the per-point influence function."""
+
+    KINDS = [MEAN, MEDIAN] + [trimmed_mean(a) for a in (0.0, 0.1, 0.25)]
+    IDS = ["mean", "median", "trimmed:0", "trimmed:0.1", "trimmed:0.25"]
+
+    @staticmethod
+    def probes_around(f):
+        # every atom, every midpoint, and points below and above all atoms
+        locs = np.unique(f.locations)
+        return np.sort(np.concatenate(
+            [locs, 0.5 * (locs[1:] + locs[:-1]), [locs[0] - 7.0, locs[-1] + 7.0]]
+        ))
+
+    def assert_matches_oracle(self, t, f, probes):
+        profile = influence_profile(t, f, probes)
+        values, variance = oracle_profile(t, f, probes)
+        scale = 1.0 + np.max(np.abs(f.locations)) + np.abs(probes)
+        assert np.all(np.abs(profile.values - values) <= 1e-13 * scale)
+        assert profile.asymptotic_variance == pytest.approx(variance, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("t", KINDS, ids=IDS)
+    def test_probes_equal_to_atoms(self, t):
+        f = dist((-2.0, 0.2), (0.5, 0.35), (1.0, 0.05), (4.0, 0.4))
+        self.assert_matches_oracle(t, f, f.locations.copy())
+
+    @pytest.mark.parametrize("t", KINDS, ids=IDS)
+    def test_tied_locations(self, t):
+        # separate atoms at one location, with cumulative edges on the trim
+        # levels 0.1, 0.25, 0.75 and 0.9 (and not on 1/2, where the median jumps)
+        f = EmpiricalDistribution(
+            np.array([-1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 5.0, 5.0, 8.0]),
+            np.array([0.1, 0.15, 0.1, 0.2, 0.05, 0.15, 0.1, 0.05, 0.1]),
+        )
+        self.assert_matches_oracle(t, f, self.probes_around(f))
+
+    @pytest.mark.parametrize("t", KINDS, ids=IDS)
+    def test_unequal_weights(self, t):
+        f = dist((-3.0, 0.05), (-1.0, 0.15), (0.0, 0.35), (2.0, 0.05), (2.5, 0.25), (9.0, 0.15))
+        self.assert_matches_oracle(t, f, self.probes_around(f))
+
+    @pytest.mark.parametrize("t", KINDS, ids=IDS)
+    def test_below_between_and_above_all_atoms(self, t):
+        f = UNIFORM9
+        probes = np.array([-1e6, -3.0, 0.999, 1.5, 4.25, 5.0, 5.5, 9.0, 9.001, 40.0, 1e6])
+        self.assert_matches_oracle(t, f, probes)
+
+    def test_random_distributions(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            # rounding makes ties; equal weights put edges on trim levels
+            locs = np.round(rng.normal(0.0, 5.0, n), int(rng.integers(0, 3)))
+            raw = rng.uniform(0.05, 1.0, n) if rng.random() < 0.5 else np.ones(n)
+            f = EmpiricalDistribution(locs, raw / raw.sum())
+            for t in self.KINDS:
+                if t.kind is Functional.MEDIAN:
+                    continue  # may jump; covered by the fixed cases
+                self.assert_matches_oracle(t, f, self.probes_around(f))
+
+    def test_median_jump_in_probes_raises(self):
+        f = dist((0.0, 0.5), (10.0, 0.5))
+        with pytest.raises(NumericalFailureError, match="converge at y = 5.0"):
+            influence_profile(MEDIAN, f, np.array([-1.0, 0.0, 5.0, 20.0]))
+
+    def test_median_jump_at_atoms_raises(self):
+        # no probe lies above the median, but the variance visits the atom at 10
+        f = dist((0.0, 0.5), (10.0, 0.5))
+        with pytest.raises(NumericalFailureError, match="converge at y = 10.0"):
+            influence_profile(MEDIAN, f, np.array([-1.0, 0.0]))
+
 
 class TestSensitivityAttack:
     def test_closed_form_contamination_point(self):
