@@ -177,11 +177,18 @@ def _cmd_fredholm_demo(args) -> int:
     from . import fredholm, regularization
     from .fileio import table_to_csv
 
-    grid, clean, rhs, recovered, result = fredholm._perturbed_solve(args.n, args.n_osc)
-    analytic = fredholm.analytic_perturbed_solution(grid, args.n_osc)
+    result = fredholm.run_instability_experiment(args.n, args.n_osc)
+    problem = fredholm.ramp_problem(args.n, args.n_osc)
+    grid, rhs = problem.grid, problem.rhs
 
     header = ["y", "F_unperturbed", "F_perturbed", "f_recovered", "f_analytic"]
-    columns = [grid.points, clean, rhs, recovered, analytic]
+    columns = [
+        grid.points,
+        fredholm.ramp_rhs(grid),
+        rhs,
+        fredholm.solve_unregularized(problem),
+        fredholm.analytic_perturbed_solution(grid, args.n_osc),
+    ]
     summary = {
         "rhs_dev": result.rhs_dev,
         "sol_dev": result.sol_dev,
@@ -189,7 +196,7 @@ def _cmd_fredholm_demo(args) -> int:
         "delta": result.delta,
     }
     if args.lam is not None or args.noise is not None:
-        k = fredholm.heaviside_operator(args.n)
+        k = problem.operator
         lam = (
             args.lam
             if args.lam is not None
@@ -236,7 +243,14 @@ def _parse_probes(text: str):
         raise InvalidInputError(f"--probes needs a finite min and max, got {text!r}")
     if lo <= 0 or hi <= lo or count < 2:
         raise InvalidInputError("--probes needs 0 < min < max and count >= 2")
-    return np.geomspace(lo, hi, count)
+    # no address space holds more float64 values; near 2**63 numpy's own
+    # size check misses and fails with an IndexError
+    if count > sys.maxsize // 8:
+        raise InvalidInputError(f"--probes count {count} exceeds {sys.maxsize // 8}")
+    try:
+        return np.geomspace(lo, hi, count)
+    except (ValueError, MemoryError) as exc:  # numpy refuses or fails the allocation
+        raise InvalidInputError(f"bad --probes {text!r}: {exc}") from exc
 
 
 def _cmd_influence(args) -> int:

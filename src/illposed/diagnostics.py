@@ -9,6 +9,7 @@ what the three-way classification reports.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,10 @@ def diagnose(
     Only singular values are read, so an operator not yet factored pays
     for a values-only SVD.
     """
-    if kappa_threshold <= 1:
-        raise InvalidInputError(f"kappa_threshold must exceed 1, got {kappa_threshold}")
+    if not 1 < kappa_threshold < math.inf:
+        raise InvalidInputError(
+            f"kappa_threshold must exceed 1 and be finite, got {kappa_threshold}"
+        )
     _, full, rank = _numerical_rank(a, rtol)
     identifiable = rank == a.cols
     if rank > 0:

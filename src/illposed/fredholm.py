@@ -5,9 +5,12 @@ the right-endpoint rule on a uniform grid so that the operator is exactly
 lower-triangular with constant entries.  Its inverse is first differences,
 which makes the instability of the problem reproducible in closed form: a
 right-hand-side wiggle of amplitude delta comes back as a solution wiggle
-of amplitude one.  The operator's singular value decomposition is known in
-closed form too, so the operator :func:`heaviside_operator` returns factors
-itself without LAPACK, and its condition number is exact.
+of amplitude one.  That solve is the one O(n) first difference; a
+:class:`FredholmProblem` builds its n x n operator only on first use, when
+a regularized solve reads it.  The operator's singular value
+decomposition is known in closed form too, so the operator
+:func:`heaviside_operator` returns factors itself without LAPACK, and its
+condition number is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 from .linop import DenseOperator, _freeze
 
 
@@ -43,28 +46,22 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class FredholmProblem:
-    """A cumulative-integration operator together with a right-hand side.
+    """The cumulative-integration equation K f = F on a grid.
 
+    ``operator`` is :func:`heaviside_operator` of the grid size, built on
+    first read and cached; the unregularized solve never reads it.
     ``delta`` records the perturbation scale when the right-hand side was
     built by :func:`ramp_rhs` with an oscillation, None otherwise.
     """
 
     grid: Grid
-    operator: DenseOperator
     rhs: np.ndarray
     delta: float | None = None
 
     def __post_init__(self):
         n = self.grid.n
-        if self.operator.matrix.shape != (n, n):
-            raise InvalidInputError(
-                f"operator must be {n}x{n}, got {self.operator.matrix.shape}"
-            )
-        if not _is_cumulative(self.operator.matrix, self.grid.h, atol=1e-14):
-            raise InvalidInputError(
-                "operator must be lower-triangular with constant entries h "
-                "(right-endpoint quadrature of the cumulative kernel)"
-            )
+        if n < 2:
+            raise InvalidInputError(f"need n >= 2 grid points, got {n}")
         rhs = np.asarray(self.rhs, dtype=float)
         if rhs.shape != (n,):
             raise InvalidInputError(f"rhs must have shape ({n},), got {rhs.shape}")
@@ -74,17 +71,9 @@ class FredholmProblem:
         rhs.flags.writeable = False
         object.__setattr__(self, "rhs", rhs)
 
-
-def _is_cumulative(k: np.ndarray, h: float, atol: float) -> bool:
-    """True iff ``|K[i, j] - h| <= atol`` for j <= i and ``|K[i, j]| <= atol`` for j > i.
-
-    Checked one row at a time, so no n x n temporary is built; atol = 0
-    demands the exact pattern.
-    """
-    return all(
-        np.all(np.abs(row[: i + 1] - h) <= atol) and np.all(np.abs(row[i + 1 :]) <= atol)
-        for i, row in enumerate(k)
-    )
+    @cached_property
+    def operator(self) -> DenseOperator:
+        return heaviside_operator(self.grid.n)
 
 
 class _CumulativeOperator(DenseOperator):
@@ -175,34 +164,23 @@ def analytic_perturbed_solution(grid: Grid, n_osc: int) -> np.ndarray:
 
 
 def ramp_problem(n: int, n_osc: int | None = None) -> FredholmProblem:
-    """Assemble the discretized problem, optionally with the perturbed right-hand side."""
+    """Assemble the discretized problem, optionally with the perturbed right-hand side.
+
+    O(n): the operator is built only when something reads ``operator``.
+    """
     grid = Grid(n)
     delta = oscillation_delta(n_osc) if n_osc is not None else None
-    return FredholmProblem(
-        grid=grid,
-        operator=heaviside_operator(n),
-        rhs=ramp_rhs(grid, n_osc),
-        delta=delta,
-    )
+    return FredholmProblem(grid=grid, rhs=ramp_rhs(grid, n_osc), delta=delta)
 
 
 def solve_unregularized(problem: FredholmProblem) -> np.ndarray:
-    """Solve K f = F exactly by forward substitution.
+    """Solve K f = F exactly, in O(n) without reading the operator.
 
-    For the constant-entry triangular operator this collapses to scaled
-    first differences, f_i = (F_i - F_{i-1}) / h with F_0 = 0.
+    Forward substitution on the constant-entry triangular operator
+    collapses to scaled first differences, f_i = (F_i - F_{i-1}) / h with
+    F_0 = 0.
     """
-    k = problem.operator.matrix
-    diag = np.diagonal(k)
-    if np.any(diag == 0):
-        raise NumericalFailureError("operator is singular: zero diagonal entry")
-    h = problem.grid.h
-    if _is_cumulative(k, h, atol=0.0):
-        return np.diff(problem.rhs, prepend=0.0) / h
-    try:
-        return np.linalg.solve(k, problem.rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"triangular solve failed: {exc}") from exc
+    return np.diff(problem.rhs, prepend=0.0) / problem.grid.h
 
 
 @dataclass(frozen=True)
@@ -223,15 +201,6 @@ def run_instability_experiment(n: int, n_osc: int) -> InstabilityResult:
     without bound as the perturbation shrinks.  Requires h <= delta/10 so
     the grid resolves the oscillation instead of aliasing it.
     """
-    return _perturbed_solve(n, n_osc)[-1]
-
-
-def _perturbed_solve(n: int, n_osc: int):
-    """``(grid, clean rhs, perturbed rhs, solution, result)`` in O(n) memory.
-
-    The solve is the first differencing :func:`solve_unregularized` does
-    for the exact operator, without building the n x n matrix.
-    """
     delta = oscillation_delta(n_osc)
     grid = Grid(n)
     if grid.h > delta / 10:
@@ -239,18 +208,15 @@ def _perturbed_solve(n: int, n_osc: int):
             f"grid does not resolve the oscillation: need h <= delta/10, "
             f"got h = {grid.h:.6g} > delta/10 = {delta / 10:.6g}"
         )
-    clean = ramp_rhs(grid)
-    rhs = ramp_rhs(grid, n_osc)
-    solution = np.diff(rhs, prepend=0.0) / grid.h
-    rhs_dev = float(np.max(np.abs(rhs - clean)))
-    sol_dev = float(np.max(np.abs(solution - 1.0)))
-    result = InstabilityResult(
+    problem = ramp_problem(n, n_osc)
+    rhs_dev = float(np.max(np.abs(problem.rhs - ramp_rhs(grid))))
+    sol_dev = float(np.max(np.abs(solve_unregularized(problem) - 1.0)))
+    return InstabilityResult(
         rhs_dev=rhs_dev,
         sol_dev=sol_dev,
         amplification=sol_dev / rhs_dev,
         delta=delta,
     )
-    return grid, clean, rhs, solution, result
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ tests built on top of that one cached factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -157,8 +158,8 @@ def _numerical_rank(
     """
     if rtol is None:
         rtol = default_rtol(a)
-    if rtol < 0:
-        raise InvalidInputError(f"rtol must be >= 0, got {rtol}")
+    if not 0 <= rtol < math.inf:
+        raise InvalidInputError(f"rtol must be >= 0 and finite, got {rtol}")
     s = a._factors[1] if vectors else a._spectrum
     return rtol, s, int(np.sum(s > rtol * s[0]))
 
@@ -230,10 +231,10 @@ def is_identifiable_linear(a: DenseOperator, rtol: float | None = None) -> bool:
 def null_space(a: DenseOperator, rtol: float | None = None) -> np.ndarray:
     """Orthonormal basis (cols x k) of the numerical null space.
 
-    The right singular vectors past the rank of :func:`svd`, sliced from the
+    The right singular vectors past the numerical rank, sliced from the
     operator's one shared factorization.
     """
-    rank = svd(a, rtol).rank
+    rank = _numerical_rank(a, rtol, vectors=True)[2]
     return a._factors[2][:, rank:].copy()
 
 

@@ -36,8 +36,8 @@ def tikhonov_solve(a: DenseOperator, data, lam: float) -> np.ndarray:
     Equals ``V diag(sigma/(sigma^2+lam)) U^T d`` over the retained spectrum;
     at lam = 0 on a full-rank operator this is the pseudo-inverse solve.
     """
-    if lam < 0:
-        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise InvalidInputError(f"lambda must be >= 0 and finite, got {lam}")
     d = _check_data(a, data)
     f = svd(a)
     if f.rank == 0:
@@ -63,8 +63,8 @@ def _tsvd_from_factors(f: SvdFactors, d: np.ndarray, k: int) -> np.ndarray:
 
 def filter_factors(factors: SvdFactors, lam: float) -> np.ndarray:
     """Tikhonov filter factors sigma_i^2 / (sigma_i^2 + lam), each in (0, 1]."""
-    if lam < 0:
-        raise InvalidInputError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise InvalidInputError(f"lambda must be >= 0 and finite, got {lam}")
     s2 = factors.singular_values**2
     return s2 / (s2 + lam)
 
@@ -79,10 +79,10 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     attainable residual range raise NoSolutionError, and a bisection that
     misses the tolerance raises NumericalFailureError.
     """
-    if noise_level <= 0:
-        raise InvalidInputError(f"noise_level must be > 0, got {noise_level}")
-    if tau < 1.0:
-        raise InvalidInputError(f"tau must be >= 1, got {tau}")
+    if not 0 < noise_level < math.inf:
+        raise InvalidInputError(f"noise_level must be > 0 and finite, got {noise_level}")
+    if not 1 <= tau < math.inf:
+        raise InvalidInputError(f"tau must be >= 1 and finite, got {tau}")
     d = _check_data(a, data)
     f = svd(a)
     if f.rank == 0:

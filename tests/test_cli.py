@@ -113,6 +113,21 @@ class TestAnalyze:
         assert res.stdout == ""
         assert message in res.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--kappa-threshold", "nan", "kappa_threshold must exceed 1 and be finite"),
+            ("--kappa-threshold", "inf", "kappa_threshold must exceed 1 and be finite"),
+            ("--rtol", "nan", "rtol must be >= 0 and finite"),
+            ("--rtol", "inf", "rtol must be >= 0 and finite"),
+        ],
+    )
+    def test_non_finite_option_exit_2(self, workdir, flag, value, message):
+        res = run_cli("analyze", str(workdir / "identity.csv"), flag, value)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert message in res.stderr
+
 
 class TestSolve:
     def test_plain_solve(self, workdir):
@@ -197,6 +212,24 @@ class TestSolve:
         assert res.stdout == ""
         assert message in res.stderr
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "tikhonov", "--lambda", "nan"], "lambda must be >= 0 and finite"),
+            (["--method", "tikhonov", "--lambda", "inf"], "lambda must be >= 0 and finite"),
+            (["--noise", "nan"], "noise_level must be > 0 and finite"),
+            (["--noise", "inf"], "noise_level must be > 0 and finite"),
+            (["--noise", "0.1", "--tau", "nan"], "tau must be >= 1 and finite"),
+        ],
+    )
+    def test_non_finite_option_exit_2(self, workdir, flags, message):
+        res = run_cli(
+            "solve", str(workdir / "identity.csv"), str(workdir / "data2.csv"), *flags
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert message in res.stderr
+
     def test_tau_with_noise(self, workdir):
         res = run_cli(
             "solve", str(workdir / "identity.csv"), str(workdir / "data2.csv"),
@@ -246,6 +279,15 @@ class TestFredholmDemo:
         res = run_cli("fredholm-demo", "--n", "100", "--n-osc", "8")
         assert res.returncode == 2
         assert "delta/10" in res.stderr
+
+    @pytest.mark.parametrize(
+        "flags", [["--lambda", "nan"], ["--noise", "inf"], ["--noise", "0.1", "--tau", "nan"]]
+    )
+    def test_non_finite_option_exit_2(self, flags):
+        res = run_cli("fredholm-demo", "--n", "200", "--n-osc", "1", *flags)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "finite" in res.stderr
 
     def test_nonpositive_grid_exit_2(self):
         res = run_cli("fredholm-demo", "--n", "0", "--n-osc", "1")
@@ -303,6 +345,18 @@ class TestInfluence:
         assert res.returncode == 2
         assert "--probes" in res.stderr
         assert "RuntimeWarning" not in res.stderr
+
+    @pytest.mark.parametrize("count", [10**20, 2**63 - 1])
+    def test_unallocatable_probe_count_exit_2(self, workdir, count):
+        # both counts are refused before anything is allocated
+        res = run_cli(
+            "influence", str(workdir / "dist.csv"),
+            "--functional", "mean", "--probes", f"1:2:{count}",
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "--probes" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_divergent_quotient_exit_3(self, tmp_path):
         # the median of two half atoms jumps under any contamination beyond

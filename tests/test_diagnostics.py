@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -48,6 +50,11 @@ class TestDiagnose:
     def test_threshold_validation(self):
         with pytest.raises(InvalidInputError):
             diagnose(DenseOperator(np.eye(2)), kappa_threshold=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            diagnose(DenseOperator(np.eye(2)), kappa_threshold=bad)
 
     def test_report_dict_keys(self):
         d = diagnose(DenseOperator(np.eye(4))).to_dict()

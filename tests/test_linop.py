@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -92,6 +94,12 @@ class TestSvd:
     def test_negative_rtol(self):
         with pytest.raises(InvalidInputError):
             svd(DenseOperator(np.eye(2)), rtol=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rtol(self, bad):
+        for fn in (svd, null_space, is_identifiable_linear):
+            with pytest.raises(InvalidInputError, match="finite"):
+                fn(DenseOperator(np.eye(2)), rtol=bad)
 
 
 class TestPseudoinverse:
@@ -330,6 +338,16 @@ class TestSharedFactorization:
         g = svd(a)
         after = (g.left_vectors, g.singular_values, g.right_vectors, g.discarded)
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+    @pytest.mark.parametrize("rows", [6, 4])
+    @pytest.mark.parametrize("rtol", [None, 0.0, 1e-3, 0.5])
+    def test_null_space_is_the_tail_of_the_shared_factors(self, rows, rtol):
+        # rank 3 with a spread spectrum, so each rtol cuts at its own place
+        scaled = RNG.standard_normal((rows, 3)) * [1.0, 1e-2, 1e-6]
+        a = DenseOperator(scaled @ RNG.standard_normal((3, 5)))
+        basis = null_space(a, rtol)
+        assert np.array_equal(basis, a._factors[2][:, svd(a, rtol).rank :])
+        assert basis.flags.c_contiguous and basis.flags.writeable
 
     @given(rank_deficient_operators())
     def test_null_space_complements_right_vectors(self, a):

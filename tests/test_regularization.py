@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,11 @@ class TestTikhonov:
     def test_negative_lambda(self):
         with pytest.raises(InvalidInputError):
             tikhonov_solve(DenseOperator(np.eye(2)), np.zeros(2), -1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            tikhonov_solve(DenseOperator(np.eye(2)), np.zeros(2), bad)
 
     def test_suppresses_fredholm_oscillation(self):
         problem = ramp_problem(1000, 8)
@@ -142,6 +149,11 @@ class TestFilterFactors:
         phi = filter_factors(f, 0.37)
         assert np.all(phi > 0) and np.all(phi <= 1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            filter_factors(svd(DenseOperator(np.eye(2))), bad)
+
 
 class TestDiscrepancy:
     def test_consistent_data_small_noise(self):
@@ -181,6 +193,14 @@ class TestDiscrepancy:
             discrepancy_select(a, np.ones(2), noise_level=0.0)
         with pytest.raises(InvalidInputError):
             discrepancy_select(a, np.ones(2), noise_level=0.1, tau=0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_and_tau(self, bad):
+        a = DenseOperator(np.eye(2))
+        with pytest.raises(InvalidInputError, match="noise_level must be > 0 and finite"):
+            discrepancy_select(a, np.ones(2), noise_level=bad)
+        with pytest.raises(InvalidInputError, match="tau must be >= 1 and finite"):
+            discrepancy_select(a, np.ones(2), noise_level=0.1, tau=bad)
 
 
 class TestRestrictionSequence:
