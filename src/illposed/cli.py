@@ -1,9 +1,9 @@
 """Command-line front end: analyze, solve, fredholm-demo, influence, finite-check.
 
-Exit codes: 0 success, 2 malformed input or violated precondition,
-3 numerical failure.  All output is deterministic; floats carry 17
-significant digits.  An option the chosen mode never reads is an error
-(exit 2), not silently dropped.
+Exit codes: 0 success, 2 malformed input, violated precondition or an
+input too large to allocate, 3 numerical failure.  All output is
+deterministic; floats carry 17 significant digits.  An option the chosen
+mode never reads is an error (exit 2), not silently dropped.
 
 Each handler imports the numeric modules it needs, so ``finite-check``
 runs without importing numpy.
@@ -95,6 +95,21 @@ def _tau(args) -> float:
     return args.tau
 
 
+_SQRT_TINY = math.sqrt(sys.float_info.min)  # below this, a square is subnormal or 0
+
+
+def _norm(v) -> float:
+    """Euclidean norm, recomputed from ``v / max|v|`` when squaring v under- or overflows."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    scale = float(np.max(np.abs(v), initial=0.0))
+    if 0 < scale < _SQRT_TINY or math.isinf(norm):
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
+
+
 def _cmd_analyze(args) -> int:
     from . import diagnostics
     from .fileio import read_matrix_csv
@@ -128,8 +143,6 @@ def _cmd_solve(args) -> int:
         raise InvalidInputError("--k is read only by --method tsvd")
     tau = _tau(args)
 
-    import numpy as np
-
     from . import regularization
     from .fileio import read_matrix_csv, read_vector_csv, vector_to_csv
     from .linop import svd
@@ -159,8 +172,8 @@ def _cmd_solve(args) -> int:
     report = {
         "method": method,
         "parameter": parameter,
-        "residual": float(np.linalg.norm(a.matrix @ x - d)),
-        "solution_norm": float(np.linalg.norm(x)),
+        "residual": _norm(a.matrix @ x - d),
+        "solution_norm": _norm(x),
     }
     _emit(vector_to_csv(x), args.out)
     sys.stdout.write(json_flat(report))
@@ -249,7 +262,7 @@ def _parse_probes(text: str):
         raise InvalidInputError(f"--probes count {count} exceeds {sys.maxsize // 8}")
     try:
         return np.geomspace(lo, hi, count)
-    except (ValueError, MemoryError) as exc:  # numpy refuses or fails the allocation
+    except ValueError as exc:  # numpy refuses the count
         raise InvalidInputError(f"bad --probes {text!r}: {exc}") from exc
 
 
@@ -343,6 +356,10 @@ def run(argv=None) -> int:
         return 3
     except (IllposedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: input too large to allocate{detail}", file=sys.stderr)
         return 2
 
 

@@ -3,6 +3,12 @@
 Every map is a total function ``{0..m-1} -> {0..c-1}`` stored as a lookup
 table, so statements such as "an estimator exists iff the forward map is
 injective" can be checked by exhaustive enumeration instead of proof.
+
+Both theorem checks sweep kernel classes, not tables: every test here
+compares table entries only for equality, so a verdict depends only on the
+kernel partitions of the maps (an injective relabelling of a codomain
+relabels a constructed estimator with it).  Each check runs once per
+partition, or pair of partitions, and counts it for every table it stands for.
 """
 
 from __future__ import annotations
@@ -137,15 +143,11 @@ def promote_to_generalized(p: FiniteMap, g: FiniteMap) -> FiniteMap:
 def fisher_consistent_estimator(p: FiniteMap) -> FiniteMap | None:
     """Return some T with ``T o P = identity``, or None when none exists.
 
-    Such a T exists iff P is injective; off the range of P the estimator
-    takes the smallest domain index.
+    Such a T exists iff P is injective, and then the inner inverse of
+    :func:`construct_inner_inverse` is one: off the range of P it takes the
+    smallest domain index.
     """
-    if not is_injective(p):
-        return None
-    table = [0] * p.codomain_size
-    for i in range(p.domain_size):
-        table[p.table[i]] = i
-    return FiniteMap(p.codomain_size, p.domain_size, tuple(table))
+    return construct_inner_inverse(p) if is_injective(p) else None
 
 
 def parameter_identifiable_standard(p: FiniteMap, q: FiniteMap) -> bool:
@@ -222,28 +224,6 @@ def all_maps(domain_size: int, codomain_size: int):
         yield FiniteMap(domain_size, codomain_size, table)
 
 
-def check_fisher_consistency_theorem(max_domain: int, max_codomain: int) -> tuple[int, int]:
-    """Exhaustively test: a Fisher-consistent estimator exists iff P is injective.
-
-    Returns (maps checked, counterexamples).  A counterexample is a map
-    where existence and injectivity disagree, or where the constructed
-    estimator fails ``T o P = identity``.
-    """
-    checked = 0
-    counterexamples = 0
-    for d in range(1, max_domain + 1):
-        ident = FiniteMap.identity(d)
-        for c in range(1, max_codomain + 1):
-            for p in all_maps(d, c):
-                checked += 1
-                t = fisher_consistent_estimator(p)
-                if (t is not None) != is_injective(p):
-                    counterexamples += 1
-                elif t is not None and t.after(p) != ident:
-                    counterexamples += 1
-    return checked, counterexamples
-
-
 def restricted_growth_strings(n: int):
     """Yield every set partition of ``{0..n-1}`` once, as a restricted growth string.
 
@@ -272,30 +252,47 @@ def restricted_growth_strings(n: int):
             bound[i] = nxt
 
 
+def _kernel_classes(domain_size: int, max_codomain: int):
+    """Yield ``(canonical map, weight)`` for each kernel partition of the domain.
+
+    The map is the partition's restricted growth string as a table; a partition
+    with k blocks is the kernel of ``sum(c! / (c - k)!)`` tables over
+    c = 1..max_codomain, its weight.  Partitions of weight 0 are skipped.
+    """
+    for rgs in restricted_growth_strings(domain_size):
+        k = max(rgs) + 1
+        weight = sum(math.perm(c, k) for c in range(1, max_codomain + 1))
+        if weight:
+            yield FiniteMap(domain_size, k, rgs), weight
+
+
+def check_fisher_consistency_theorem(max_domain: int, max_codomain: int) -> tuple[int, int]:
+    """Exhaustively test: a Fisher-consistent estimator exists iff P is injective.
+
+    Returns (maps checked, counterexamples) over every table with domain <=
+    max_domain and codomain <= max_codomain.  A counterexample is a map where
+    existence and injectivity disagree, or whose estimator fails ``T o P = id``.
+    """
+    checked = counterexamples = 0
+    for d in range(1, max_domain + 1):
+        ident = FiniteMap.identity(d)
+        for p, weight in _kernel_classes(d, max_codomain):
+            checked += weight
+            t = fisher_consistent_estimator(p)
+            if (t is not None) != is_injective(p) or (t is not None and t.after(p) != ident):
+                counterexamples += weight
+    return checked, counterexamples
+
+
 def check_parameter_equivalence_theorem(max_domain: int, max_codomain: int) -> tuple[int, int]:
     """Exhaustively compare the standard and sections identifiability tests.
 
-    Covers all (P, q) pairs of map tables with a common domain <= max_domain
-    and codomains <= max_codomain, and returns (pairs checked,
-    disagreements) over those tables.
-
-    Both tests compare table entries only for equality, so their verdict
-    on (P, q) depends only on the kernel partitions of P and q: relabelling
-    either codomain injectively changes neither.  The sweep therefore runs
-    each test once per pair of set partitions, on the canonical maps given
-    by :func:`restricted_growth_strings`, and counts each pair for every
-    table pair it stands for.  A partition with k blocks is the kernel of
-    ``sum(c! / (c - k)!)`` tables over c = 1..max_codomain.
+    Returns (pairs checked, disagreements) over every (P, q) pair of tables
+    with a common domain <= max_domain and codomains <= max_codomain.
     """
-    pairs = 0
-    disagreements = 0
+    pairs = disagreements = 0
     for d in range(1, max_domain + 1):
-        kernels = []
-        for rgs in restricted_growth_strings(d):
-            k = max(rgs) + 1
-            weight = sum(math.perm(c, k) for c in range(1, max_codomain + 1))
-            if weight:
-                kernels.append((FiniteMap(d, k, rgs), weight))
+        kernels = list(_kernel_classes(d, max_codomain))
         for q, wq in kernels:
             for p, wp in kernels:
                 pairs += wp * wq

@@ -10,6 +10,7 @@ same idea.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -35,6 +36,9 @@ def tikhonov_solve(a: DenseOperator, data, lam: float) -> np.ndarray:
 
     Equals ``V diag(sigma/(sigma^2+lam)) U^T d`` over the retained spectrum;
     at lam = 0 on a full-rank operator this is the pseudo-inverse solve.
+    Raises NumericalFailureError when the filter leaves the float range
+    (sigma_max^2 overflows, or some sigma^2 + lam is below the smallest
+    normal float) or the solution overflows.
     """
     if not 0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be >= 0 and finite, got {lam}")
@@ -43,8 +47,15 @@ def tikhonov_solve(a: DenseOperator, data, lam: float) -> np.ndarray:
     if f.rank == 0:
         return np.zeros(a.cols)
     s = f.singular_values
-    coeff = (s / (s**2 + lam)) * (f.left_vectors.T @ d)
-    return f.right_vectors @ coeff
+    s_max, s_min = float(s[0]), float(s[-1])
+    if math.isinf(s_max * s_max) or s_min * s_min + lam < sys.float_info.min:
+        raise NumericalFailureError(
+            f"the Tikhonov filter at sigma in [{s_min:.6g}, {s_max:.6g}], lambda "
+            f"{lam:.6g} leaves the float range; rescale the operator"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = (s / (s**2 + lam)) * (f.left_vectors.T @ d)
+        return _finite_solution(f.right_vectors @ coeff)
 
 
 def tsvd_solve(a: DenseOperator, data, k: int) -> np.ndarray:
@@ -57,8 +68,17 @@ def tsvd_solve(a: DenseOperator, data, k: int) -> np.ndarray:
 
 
 def _tsvd_from_factors(f: SvdFactors, d: np.ndarray, k: int) -> np.ndarray:
-    coeff = (f.left_vectors[:, :k].T @ d) / f.singular_values[:k]
-    return f.right_vectors[:, :k] @ coeff
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = (f.left_vectors[:, :k].T @ d) / f.singular_values[:k]
+        return _finite_solution(f.right_vectors[:, :k] @ coeff)
+
+
+def _finite_solution(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailureError(
+            "the solution overflows the float range; rescale the operator or the data"
+        )
+    return x
 
 
 def filter_factors(factors: SvdFactors, lam: float) -> np.ndarray:
@@ -76,8 +96,9 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     1% relative tolerance) by bisection on log lam over
     [1e-14 sigma_max^2, sigma_max^2].  The residual norm is monotone
     nondecreasing in lam, so the bracket is valid; targets outside the
-    attainable residual range raise NoSolutionError, and a bisection that
-    misses the tolerance raises NumericalFailureError.
+    attainable residual range raise NoSolutionError.  A bracket outside the
+    normal float range (sigma_max outside about [1.5e-147, 1.3e154]) and a
+    bisection that misses the tolerance raise NumericalFailureError.
     """
     if not 0 < noise_level < math.inf:
         raise InvalidInputError(f"noise_level must be > 0 and finite, got {noise_level}")
@@ -87,6 +108,14 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     f = svd(a)
     if f.rank == 0:
         raise InvalidInputError("operator has numerical rank 0; nothing to regularize")
+    s_max = float(f.singular_values[0])
+    hi = s_max * s_max
+    lo = 1e-14 * hi
+    if not (lo >= sys.float_info.min and hi < math.inf):
+        raise NumericalFailureError(
+            f"the lambda bracket [1e-14 sigma_max^2, sigma_max^2] at sigma_max = "
+            f"{s_max:.6g} is outside the float range; rescale the operator"
+        )
     s2 = f.singular_values**2
     beta = f.left_vectors.T @ d
     # component of d outside the retained range contributes a fixed residual
@@ -97,8 +126,6 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
         return math.sqrt(float(damped @ damped) + perp2)
 
     target = tau * noise_level
-    lo = 1e-14 * float(s2[0])
-    hi = float(s2[0])
     r_lo, r_hi = residual(lo), residual(hi)
     if not r_lo <= target <= r_hi:
         raise NoSolutionError(

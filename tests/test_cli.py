@@ -13,12 +13,25 @@ SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 def run_cli(*args, cwd=None):
     env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
     return subprocess.run(
-        [sys.executable, "-m", "illposed.cli", *args],
+        [sys.executable, "-B", "-m", "illposed.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def assert_one_error_line(res, code):
+    assert res.returncode == code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    assert "Warning" not in res.stderr
+
+
+def write_diagonal(path, d1, d2):
+    path.write_text(f"{d1},0\n0,{d2}\n")
+    return str(path)
 
 
 @pytest.fixture
@@ -249,6 +262,47 @@ class TestSolve:
         assert res.returncode == 2
         assert "attainable" in res.stderr
 
+    @pytest.mark.parametrize(
+        "diagonal, flags, message",
+        [
+            # 1 / sigma overflows: the unfiltered solve would print NaN
+            (("1e-320", "1e-320"), ["--method", "none"], "solution overflows"),
+            # the kept triplet alone would print Infinity, NaN
+            (("1e-320", "1e-320"), ["--method", "tsvd", "--k", "1"], "solution overflows"),
+            # sigma^2 overflows, so the filter would print 0, 0 for about (1e-200, 1e-199)
+            (("1e200", "1e199"), ["--method", "tikhonov", "--lambda", "1"], "Tikhonov filter"),
+            # the lambda bracket [1e-14 sigma_max^2, sigma_max^2] leaves the normal
+            # range: its lower end underflows to 0, or sigma_max^2 under- or overflows
+            (("1e-155", "1e-156"), ["--noise", "0.5"], "lambda bracket"),
+            (("1e-170", "1e-171"), ["--noise", "0.5"], "lambda bracket"),
+            (("1e200", "1e199"), ["--noise", "0.5"], "lambda bracket"),
+        ],
+    )
+    def test_outside_float_range_exit_3(self, workdir, diagonal, flags, message):
+        matrix = write_diagonal(workdir / "diag.csv", *diagonal)
+        res = run_cli("solve", matrix, str(workdir / "data2.csv"), *flags)
+        assert_one_error_line(res, 3)
+        assert message in res.stderr
+
+    @pytest.mark.parametrize(
+        "diagonal, data, x",
+        [
+            # squaring the entries underflows: np.linalg.norm reads 0
+            (("1e200", "1e199"), "1\n1\n", (1e-200, 1e-199)),
+            # squaring the entries overflows: np.linalg.norm reads Infinity
+            (("1e-100", "1e-100"), "1e100\n1e100\n", (1e200, 1e200)),
+        ],
+    )
+    def test_solution_norm_outside_the_squares_range(self, workdir, diagonal, data, x):
+        matrix = write_diagonal(workdir / "diag.csv", *diagonal)
+        (workdir / "data.csv").write_text(data)
+        res = run_cli("solve", matrix, str(workdir / "data.csv"), "--method", "none")
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        report = json.loads("\n".join(res.stdout.splitlines()[2:]))
+        assert report["solution_norm"] == pytest.approx(math.hypot(*x), rel=1e-15, abs=0)
+        assert report["residual"] == 0
+
 
 class TestFredholmDemo:
     def test_summary_amplification(self, tmp_path):
@@ -432,6 +486,12 @@ class TestFiniteCheck:
         report = json.loads(res.stdout)
         assert report["injective"] is True
         assert report["estimator"] == "3 2 : 0,1,0"
+
+    def test_unallocatable_estimator_exit_2(self):
+        # Python refuses a 2**62-entry table before it allocates anything
+        res = run_cli("finite-check", "--map", f"1 {2**62} : 0")
+        assert_one_error_line(res, 2)
+        assert "too large to allocate" in res.stderr
 
 
 def numpy_free_run(*args):

@@ -8,6 +8,7 @@ from illposed.errors import CompositionError, InvalidInputError
 from illposed.finite_maps import (
     FiniteMap,
     all_maps,
+    check_fisher_consistency_theorem,
     check_parameter_equivalence_theorem,
     construct_inner_inverse,
     enumerate_sections,
@@ -57,6 +58,18 @@ def canonical_kernel(table):
     """Number the blocks of the kernel of a table in order of first occurrence."""
     first: dict[int, int] = {}
     return tuple(first.setdefault(v, len(first)) for v in table)
+
+
+def theorem1_verdict(p):
+    """(estimator exists, P injective, T o P = identity) for one table."""
+    t = fisher_consistent_estimator(p)
+    inverts = t is not None and t.after(p) == FiniteMap.identity(p.domain_size)
+    return t is not None, is_injective(p), inverts
+
+
+def theorem1_counterexample(p):
+    exists, injective, inverts = theorem1_verdict(p)
+    return exists != injective or (exists and not inverts)
 
 
 class TestFiniteMap:
@@ -300,6 +313,8 @@ class TestKernelPartitionSweep:
     def test_verdicts_invariant_under_injective_relabelling(self, pair):
         # the lemma behind the partition sweep: only the kernels of P and q matter
         p, q, p2, q2 = pair
+        assert theorem1_verdict(p) == theorem1_verdict(p2)
+        assert theorem1_verdict(q) == theorem1_verdict(q2)
         assert parameter_identifiable_standard(p, q) == parameter_identifiable_standard(p2, q2)
         assert parameter_identifiable_sections(p, restrict_to_range(q)) == (
             parameter_identifiable_sections(p2, restrict_to_range(q2))
@@ -342,3 +357,38 @@ def test_partition_sweep_matches_table_oracle(table_oracle, max_domain, max_codo
     ]
     expected = (sum(n for n, _ in cells), sum(bad for _, bad in cells))
     assert check_parameter_equivalence_theorem(max_domain, max_codomain) == expected
+
+
+ALL_BOUNDS = [(d, c) for d in range(1, 6) for c in range(1, 6)]
+
+
+@pytest.fixture(scope="module")
+def theorem1_table_oracle():
+    """(maps, counterexamples) per (domain d, codomain c), table by table."""
+    counts = {}
+    for d, c in ALL_BOUNDS:
+        tables = list(all_maps(d, c))
+        counts[d, c] = (len(tables), sum(theorem1_counterexample(p) for p in tables))
+    return counts
+
+
+@pytest.mark.parametrize("max_domain,max_codomain", ALL_BOUNDS)
+def test_theorem1_sweep_matches_table_oracle(theorem1_table_oracle, max_domain, max_codomain):
+    cells = [
+        theorem1_table_oracle[d, c]
+        for d in range(1, max_domain + 1)
+        for c in range(1, max_codomain + 1)
+    ]
+    expected = (sum(n for n, _ in cells), sum(bad for _, bad in cells))
+    assert check_fisher_consistency_theorem(max_domain, max_codomain) == expected
+
+
+def test_theorem1_runs_the_estimator_once_per_kernel_class(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "illposed.finite_maps.fisher_consistent_estimator",
+        lambda p: calls.append(p) or fisher_consistent_estimator(p),
+    )
+    assert check_fisher_consistency_theorem(5, 5) == (5699, 0)
+    # one call per set partition of each domain size: Bell(1) + ... + Bell(5)
+    assert len(calls) == sum(TestKernelPartitionSweep.BELL[:5]) == 75

@@ -235,3 +235,20 @@ class TestRestrictionSequence:
             restriction_sequence(a, np.ones(3), [1, 4])
         with pytest.raises(InvalidInputError):
             restriction_sequence(a, np.ones(3), [])
+
+
+class TestFloatRange:
+    """Library paths the CLI tests do not reach; any RuntimeWarning fails them
+    (see the pytest filterwarnings)."""
+
+    def test_tikhonov_denominator_below_smallest_normal(self):
+        a = DenseOperator(np.diag([1e-160, 1e-160]))
+        with pytest.raises(NumericalFailureError, match="Tikhonov filter"):
+            tikhonov_solve(a, np.ones(2), 0.0)
+        # a weight at least the smallest normal float keeps the filter in range
+        assert np.all(tikhonov_solve(a, np.ones(2), 1.0) == 1e-160)
+
+    def test_restriction_sequence_solution_overflows(self):
+        a = DenseOperator(np.diag([1e-320, 1e-320]))
+        with pytest.raises(NumericalFailureError, match="solution overflows"):
+            restriction_sequence(a, np.ones(2), [1, 2])
