@@ -95,21 +95,6 @@ def _tau(args) -> float:
     return args.tau
 
 
-_SQRT_TINY = math.sqrt(sys.float_info.min)  # below this, a square is subnormal or 0
-
-
-def _norm(v) -> float:
-    """Euclidean norm, recomputed from ``v / max|v|`` when squaring v under- or overflows."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    scale = float(np.max(np.abs(v), initial=0.0))
-    if 0 < scale < _SQRT_TINY or math.isinf(norm):
-        norm = scale * float(np.linalg.norm(v / scale))
-    return norm
-
-
 def _cmd_analyze(args) -> int:
     from . import diagnostics
     from .fileio import read_matrix_csv
@@ -145,7 +130,6 @@ def _cmd_solve(args) -> int:
 
     from . import regularization
     from .fileio import read_matrix_csv, read_vector_csv, vector_to_csv
-    from .linop import svd
 
     a = read_matrix_csv(args.matrix)
     d = read_vector_csv(args.data)
@@ -165,15 +149,14 @@ def _cmd_solve(args) -> int:
         x = regularization.tsvd_solve(a, d, args.k)
         method, parameter = "tsvd", args.k
     else:
-        f = svd(a)
-        x = regularization._tsvd_from_factors(f, regularization._check_data(a, d), f.rank)
+        x = regularization.tikhonov_solve(a, d, 0.0)
         method, parameter = "none", None
 
     report = {
         "method": method,
         "parameter": parameter,
-        "residual": _norm(a.matrix @ x - d),
-        "solution_norm": _norm(x),
+        "residual": math.hypot(*(a.matrix @ x - d).tolist()),
+        "solution_norm": math.hypot(*x.tolist()),
     }
     _emit(vector_to_csv(x), args.out)
     sys.stdout.write(json_flat(report))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linop import DenseOperator, _numerical_rank, svd
-from .regularization import _tsvd_from_factors
+from .regularization import tikhonov_solve
 
 
 class Classification(str, enum.Enum):
@@ -186,8 +186,8 @@ def perturbation_amplification(
     f = svd(a)
     if f.rank != a.cols:
         raise InvalidInputError("perturbation amplification requires an identifiable operator")
-    sol_ref = _tsvd_from_factors(f, data, f.rank)
-    sol_pert = _tsvd_from_factors(f, data_perturbed, f.rank)
+    sol_ref = tikhonov_solve(a, data, 0.0)
+    sol_pert = tikhonov_solve(a, data_perturbed, 0.0)
     norm_data = np.linalg.norm(data)
     norm_sol = np.linalg.norm(sol_ref)
     norm_diff = np.linalg.norm(data_perturbed - data)

@@ -5,6 +5,9 @@ and hard truncation to the k leading singular triplets.  The truncation
 levels k = 1, 2, ... realize a nested sequence of restricted problems, each
 solved stably on a larger subspace; Tikhonov is the smooth version of the
 same idea.
+
+Every solve divides U^T d by sigma + lambda/sigma, which squares nothing;
+the one float-range failure left is a solution that itself overflows.
 """
 
 from __future__ import annotations
@@ -34,28 +37,16 @@ def _check_data(a: DenseOperator, data) -> np.ndarray:
 def tikhonov_solve(a: DenseOperator, data, lam: float) -> np.ndarray:
     """Minimizer of ||A x - d||^2 + lam ||x||^2 via filtered SVD.
 
-    Equals ``V diag(sigma/(sigma^2+lam)) U^T d`` over the retained spectrum;
-    at lam = 0 on a full-rank operator this is the pseudo-inverse solve.
-    Raises NumericalFailureError when the filter leaves the float range
-    (sigma_max^2 overflows, or some sigma^2 + lam is below the smallest
-    normal float) or the solution overflows.
+    Equals ``V diag(1/(sigma + lam/sigma)) U^T d`` over the retained
+    spectrum, which is sigma/(sigma^2+lam) with nothing squared; at lam = 0
+    on a full-rank operator this is the pseudo-inverse solve.  Raises
+    NumericalFailureError only when the solution itself overflows.
     """
     if not 0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be >= 0 and finite, got {lam}")
     d = _check_data(a, data)
     f = svd(a)
-    if f.rank == 0:
-        return np.zeros(a.cols)
-    s = f.singular_values
-    s_max, s_min = float(s[0]), float(s[-1])
-    if math.isinf(s_max * s_max) or s_min * s_min + lam < sys.float_info.min:
-        raise NumericalFailureError(
-            f"the Tikhonov filter at sigma in [{s_min:.6g}, {s_max:.6g}], lambda "
-            f"{lam:.6g} leaves the float range; rescale the operator"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeff = (s / (s**2 + lam)) * (f.left_vectors.T @ d)
-        return _finite_solution(f.right_vectors @ coeff)
+    return _filtered_solve(f, d, f.rank, lam)
 
 
 def tsvd_solve(a: DenseOperator, data, k: int) -> np.ndarray:
@@ -64,16 +55,14 @@ def tsvd_solve(a: DenseOperator, data, k: int) -> np.ndarray:
     f = svd(a)
     if not 1 <= k <= f.rank:
         raise InvalidInputError(f"truncation level {k} outside [1, rank = {f.rank}]")
-    return _tsvd_from_factors(f, d, k)
+    return _filtered_solve(f, d, k)
 
 
-def _tsvd_from_factors(f: SvdFactors, d: np.ndarray, k: int) -> np.ndarray:
+def _filtered_solve(f: SvdFactors, d: np.ndarray, k: int, lam: float = 0.0) -> np.ndarray:
+    # retained sigma are > 0; lam/sigma may overflow to inf, which filters to 0
+    s = f.singular_values[:k]
     with np.errstate(over="ignore", invalid="ignore"):
-        coeff = (f.left_vectors[:, :k].T @ d) / f.singular_values[:k]
-        return _finite_solution(f.right_vectors[:, :k] @ coeff)
-
-
-def _finite_solution(x: np.ndarray) -> np.ndarray:
+        x = f.right_vectors[:, :k] @ ((f.left_vectors[:, :k].T @ d) / (s + lam / s))
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError(
             "the solution overflows the float range; rescale the operator or the data"
@@ -82,11 +71,12 @@ def _finite_solution(x: np.ndarray) -> np.ndarray:
 
 
 def filter_factors(factors: SvdFactors, lam: float) -> np.ndarray:
-    """Tikhonov filter factors sigma_i^2 / (sigma_i^2 + lam), each in (0, 1]."""
+    """Tikhonov filter factors sigma_i^2 / (sigma_i^2 + lam), each in (0, 1] for sigma_i > 0."""
     if not 0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be >= 0 and finite, got {lam}")
-    s2 = factors.singular_values**2
-    return s2 / (s2 + lam)
+    s = factors.singular_values  # sigma = 0 < lam gives 0 / (0 + inf) = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        return s / (s + lam / s)
 
 
 def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 1.0) -> float:
@@ -96,7 +86,8 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     1% relative tolerance) by bisection on log lam over
     [1e-14 sigma_max^2, sigma_max^2].  The residual norm is monotone
     nondecreasing in lam, so the bracket is valid; targets outside the
-    attainable residual range raise NoSolutionError.  A bracket outside the
+    attainable residual range raise NoSolutionError.  Residual norms square
+    nothing, so the data may have any finite size.  A bracket outside the
     normal float range (sigma_max outside about [1.5e-147, 1.3e154]) and a
     bisection that misses the tolerance raise NumericalFailureError.
     """
@@ -119,11 +110,10 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     s2 = f.singular_values**2
     beta = f.left_vectors.T @ d
     # component of d outside the retained range contributes a fixed residual
-    perp2 = max(float(d @ d - beta @ beta), 0.0)
+    perp = math.hypot(*(d - f.left_vectors @ beta).tolist())
 
     def residual(lam: float) -> float:
-        damped = (lam / (s2 + lam)) * beta
-        return math.sqrt(float(damped @ damped) + perp2)
+        return math.hypot(*((lam / (s2 + lam)) * beta).tolist(), perp)
 
     target = tau * noise_level
     r_lo, r_hi = residual(lo), residual(hi)
@@ -166,7 +156,7 @@ def restriction_sequence(a: DenseOperator, data, levels) -> list[np.ndarray]:
     f = svd(a)
     if levels[0] < 1 or levels[-1] > f.rank:
         raise InvalidInputError(f"levels {levels} outside [1, rank = {f.rank}]")
-    return [_tsvd_from_factors(f, d, k) for k in levels]
+    return [_filtered_solve(f, d, k) for k in levels]
 
 
 # no caller in the package; bench/tracing.py spans it by name, so it goes

@@ -269,8 +269,12 @@ class TestSolve:
             (("1e-320", "1e-320"), ["--method", "none"], "solution overflows"),
             # the kept triplet alone would print Infinity, NaN
             (("1e-320", "1e-320"), ["--method", "tsvd", "--k", "1"], "solution overflows"),
-            # sigma^2 overflows, so the filter would print 0, 0 for about (1e-200, 1e-199)
-            (("1e200", "1e199"), ["--method", "tikhonov", "--lambda", "1"], "Tikhonov filter"),
+            # at lambda = 0 the Tikhonov filter is 1 / sigma, which overflows too
+            (
+                ("1e-320", "1e-320"),
+                ["--method", "tikhonov", "--lambda", "0"],
+                "solution overflows",
+            ),
             # the lambda bracket [1e-14 sigma_max^2, sigma_max^2] leaves the normal
             # range: its lower end underflows to 0, or sigma_max^2 under- or overflows
             (("1e-155", "1e-156"), ["--noise", "0.5"], "lambda bracket"),
@@ -283,6 +287,60 @@ class TestSolve:
         res = run_cli("solve", matrix, str(workdir / "data2.csv"), *flags)
         assert_one_error_line(res, 3)
         assert message in res.stderr
+
+    def test_tikhonov_filter_squares_nothing(self, workdir):
+        # sigma^2 overflows, so a filter sigma / (sigma^2 + lambda) would read 0, 0
+        matrix = write_diagonal(workdir / "diag.csv", "1e200", "1e199")
+        res = run_cli(
+            "solve", matrix, str(workdir / "data2.csv"), "--method", "tikhonov", "--lambda", "1"
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        x = [float(v) for v in res.stdout.splitlines()[:2]]
+        assert x == pytest.approx([1e-200, 1e-199], rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize(
+        "diagonal, data, noise",
+        [
+            # ||d||^2 overflows
+            (("1", "0.1"), ["1e160", "1e160"], 1e159),
+            # ||d||^2 underflows to 0, so the attainable range would read [0, 0]
+            (("1", ".5", ".25", ".125"), ["1e-165", "-1e-165", "5e-166", "2e-165"], None),
+        ],
+    )
+    def test_discrepancy_on_data_whose_square_leaves_the_range(
+        self, workdir, diagonal, data, noise
+    ):
+        n = len(diagonal)
+        rows = [",".join(diagonal[i] if j == i else "0" for j in range(n)) for i in range(n)]
+        (workdir / "diag.csv").write_text("\n".join(rows) + "\n")
+        (workdir / "data.csv").write_text("\n".join(data) + "\n")
+        if noise is None:
+            noise = 0.5 * math.hypot(*map(float, data))
+        res = run_cli(
+            "solve", str(workdir / "diag.csv"), str(workdir / "data.csv"), "--noise", repr(noise)
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        report = json.loads("\n".join(res.stdout.splitlines()[n:]))
+        assert report["residual"] == pytest.approx(noise, rel=0.01, abs=0)
+
+    @pytest.mark.parametrize(
+        "flags", [["--method", "none"], ["--method", "tikhonov", "--lambda", "1"]]
+    )
+    def test_rank_zero_operator_solves_to_zero(self, workdir, flags):
+        matrix = write_diagonal(workdir / "zero.csv", "0", "0")
+        res = run_cli("solve", matrix, str(workdir / "data2.csv"), *flags)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        method, parameter = ("none", "null") if flags[1] == "none" else ("tikhonov", "1")
+        assert res.stdout == (
+            "0\n0\n{\n"
+            f'  "method": "{method}",\n'
+            f'  "parameter": {parameter},\n'
+            '  "residual": 1.4142135623730951,\n'
+            '  "solution_norm": 0\n}\n'
+        )
 
     @pytest.mark.parametrize(
         "diagonal, data, x",

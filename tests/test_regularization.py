@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from illposed import regularization
 from illposed.errors import InvalidInputError, NoSolutionError, NumericalFailureError
 from illposed.fredholm import ramp_problem, solve_unregularized
-from illposed.linop import DenseOperator, pseudoinverse, svd
+from illposed.linop import DenseOperator, SvdFactors, pseudoinverse, svd
 from illposed.regularization import (
     discrepancy_select,
     filter_factors,
@@ -149,6 +151,14 @@ class TestFilterFactors:
         phi = filter_factors(f, 0.37)
         assert np.all(phi > 0) and np.all(phi <= 1)
 
+    def test_sigma_whose_square_overflows(self):
+        f = svd(DenseOperator(np.diag([1e200, 1e199])))
+        assert np.array_equal(filter_factors(f, 1.0), [1.0, 1.0])
+
+    def test_user_built_zero_sigma(self):
+        f = SvdFactors(np.eye(2), np.array([1.0, 0.0]), np.eye(2), 0.0, np.zeros(0))
+        assert np.array_equal(filter_factors(f, 1.0), [0.5, 0.0])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_lambda(self, bad):
         with pytest.raises(InvalidInputError, match="finite"):
@@ -243,8 +253,8 @@ class TestFloatRange:
 
     def test_tikhonov_denominator_below_smallest_normal(self):
         a = DenseOperator(np.diag([1e-160, 1e-160]))
-        with pytest.raises(NumericalFailureError, match="Tikhonov filter"):
-            tikhonov_solve(a, np.ones(2), 0.0)
+        # sigma^2 underflows, but sigma + 0/sigma does not
+        assert np.all(tikhonov_solve(a, np.ones(2), 0.0) == 1e160)
         # a weight at least the smallest normal float keeps the filter in range
         assert np.all(tikhonov_solve(a, np.ones(2), 1.0) == 1e-160)
 
@@ -252,3 +262,49 @@ class TestFloatRange:
         a = DenseOperator(np.diag([1e-320, 1e-320]))
         with pytest.raises(NumericalFailureError, match="solution overflows"):
             restriction_sequence(a, np.ones(2), [1, 2])
+
+
+@st.composite
+def scaled_system(draw, max_log_alpha, max_log_ratio):
+    """A0 + 4I with A0 a 4 x 4 normal draw, data d, and scales alpha and beta
+    with |log10 beta - log10 alpha| <= max_log_ratio."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    d = rng.standard_normal(4)
+    log_alpha = draw(st.floats(-max_log_alpha, max_log_alpha))
+    log_beta = draw(
+        st.floats(max(-300, log_alpha - max_log_ratio), min(300, log_alpha + max_log_ratio))
+    )
+    return a, d, 10.0**log_alpha, 10.0**log_beta
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestScaleEquivariance:
+    """x(alpha A, beta d; alpha^2 lam) = (beta / alpha) x(A, d; lam): no
+    spurious float-range failure for a problem that was only rescaled."""
+
+    @given(scaled_system(300, 250))
+    def test_unregularized(self, system):
+        a, d, alpha, beta = system
+        x = tikhonov_solve(DenseOperator(a), d, 0.0)
+        scaled = tikhonov_solve(DenseOperator(alpha * a), beta * d, 0.0)
+        assert relative_error(scaled / (beta / alpha), x) <= 1e-12
+
+    @given(scaled_system(150, 250), st.floats(-6, 0))
+    def test_tikhonov(self, system, log_lam):
+        a, d, alpha, beta = system
+        lam = 10.0**log_lam
+        x = tikhonov_solve(DenseOperator(a), d, lam)
+        scaled = tikhonov_solve(DenseOperator(alpha * a), beta * d, alpha**2 * lam)
+        assert relative_error(scaled / (beta / alpha), x) <= 1e-12
+
+    @given(scaled_system(100, 400), st.floats(0.01, 0.45))
+    def test_discrepancy_lambda_scales_as_alpha_squared(self, system, fraction):
+        a, d, alpha, beta = system
+        delta = fraction * np.linalg.norm(d)
+        lam = discrepancy_select(DenseOperator(a), d, delta)
+        scaled = discrepancy_select(DenseOperator(alpha * a), beta * d, beta * delta)
+        assert scaled / alpha**2 == pytest.approx(lam, rel=1e-10)
