@@ -5,6 +5,11 @@ input too large to allocate, 3 numerical failure.  All output is
 deterministic; floats carry 17 significant digits.  An option the chosen
 mode never reads is an error (exit 2), not silently dropped.
 
+Each handler returns ``(table, report)``: the CSV text or None, and the
+JSON dict.  Only :func:`run` writes them.  The table goes to ``--out`` or
+stdout, and the report follows it on stdout; a handler without a table
+sends its report where the table would have gone.
+
 Each handler imports the numeric modules it needs, so ``finite-check``
 runs without importing numpy.
 """
@@ -39,25 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("data", help="one-column CSV right-hand side")
     p.add_argument("--method", choices=["tikhonov", "tsvd", "none"], default="none")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--k", type=int, default=None, help="TSVD truncation level")
-    p.add_argument("--noise", type=float, default=None,
-                   help="Euclidean norm of the data error: select lambda by the "
-                   "discrepancy principle")
-    p.add_argument("--tau", type=float, default=None,
-                   help="with --noise: discrepancy safety factor (default 1)")
+    _add_tikhonov_options(p)
     p.add_argument("--out", default=None, help="write the solution CSV here")
 
     p = sub.add_parser("fredholm-demo", help="reproduce the integral-equation instability")
     p.add_argument("--n", type=int, required=True, help="grid size")
     p.add_argument("--n-osc", type=int, required=True, help="number of oscillations")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="also solve with this Tikhonov weight")
-    p.add_argument("--noise", type=float, default=None,
-                   help="Euclidean norm of the data error: also solve with a "
-                   "discrepancy-selected Tikhonov weight")
-    p.add_argument("--tau", type=float, default=None,
-                   help="with --noise: discrepancy safety factor (default 1)")
+    _add_tikhonov_options(p)
     p.add_argument("--out", default=None, help="write the plot CSV here")
 
     p = sub.add_parser("influence", help="influence profile of a functional")
@@ -78,24 +72,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _add_tikhonov_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--lambda", dest="lam", type=float, default=None, help="Tikhonov weight")
+    p.add_argument("--noise", type=float, default=None,
+                   help="Euclidean norm of the data error: select the Tikhonov "
+                   "weight by the discrepancy principle")
+    p.add_argument("--tau", type=float, default=None,
+                   help="with --noise: discrepancy safety factor (default 1)")
 
 
-def _tau(args) -> float:
-    """The discrepancy safety factor, 1 unless given; only --noise reads it."""
-    if args.tau is None:
-        return 1.0
-    if args.noise is None:
+def _check_tikhonov_options(args) -> None:
+    if args.lam is not None and args.noise is not None:
+        raise InvalidInputError("--lambda and --noise are mutually exclusive")
+    if args.tau is not None and args.noise is None:
         raise InvalidInputError("--tau is read only with --noise")
-    return args.tau
 
 
-def _cmd_analyze(args) -> int:
+def _tikhonov(args, a, d):
+    """``(lam, x)``: the Tikhonov solve at --lambda, or at the weight the
+    discrepancy principle picks for --noise."""
+    from . import regularization
+
+    lam = args.lam
+    if lam is None:
+        tau = 1.0 if args.tau is None else args.tau
+        lam = regularization.discrepancy_select(a, d, args.noise, tau)
+    return lam, regularization.tikhonov_solve(a, d, lam)
+
+
+def _cmd_analyze(args) -> tuple[str | None, dict]:
     from . import diagnostics
     from .fileio import read_matrix_csv
     from .linop import linear_parameter_identifiable
@@ -113,64 +118,49 @@ def _cmd_analyze(args) -> int:
         q = read_matrix_csv(args.param)
         extra["parameter_identifiable"] = linear_parameter_identifiable(a, q, rtol=args.rtol)
     report = diagnostics.diagnose(a, rtol=args.rtol, kappa_threshold=kappa_threshold)
-    _emit(json_flat({**report.to_dict(), **extra}), args.out)
-    return 0
+    return None, {**report.to_dict(), **extra}
 
 
-def _cmd_solve(args) -> int:
-    if args.noise is not None and args.lam is not None:
-        raise InvalidInputError("--noise and --lambda are mutually exclusive")
+def _cmd_solve(args) -> tuple[str | None, dict]:
+    _check_tikhonov_options(args)
     if args.noise is not None and args.method == "tsvd":
         raise InvalidInputError("--noise selects a Tikhonov weight; not valid with tsvd")
     if args.lam is not None and args.method != "tikhonov":
         raise InvalidInputError("--lambda is read only by --method tikhonov")
     if args.k is not None and args.method != "tsvd":
         raise InvalidInputError("--k is read only by --method tsvd")
-    tau = _tau(args)
+    if args.method == "tikhonov" and args.lam is None and args.noise is None:
+        raise InvalidInputError("tikhonov requires --lambda or --noise")
+    if args.method == "tsvd" and args.k is None:
+        raise InvalidInputError("tsvd requires --k")
 
     from . import regularization
     from .fileio import read_matrix_csv, read_vector_csv, vector_to_csv
 
     a = read_matrix_csv(args.matrix)
     d = read_vector_csv(args.data)
-
-    if args.noise is not None:
-        lam = regularization.discrepancy_select(a, d, args.noise, tau)
-        x = regularization.tikhonov_solve(a, d, lam)
-        method, parameter = "tikhonov", lam
-    elif args.method == "tikhonov":
-        if args.lam is None:
-            raise InvalidInputError("tikhonov requires --lambda or --noise")
-        x = regularization.tikhonov_solve(a, d, args.lam)
-        method, parameter = "tikhonov", args.lam
-    elif args.method == "tsvd":
-        if args.k is None:
-            raise InvalidInputError("tsvd requires --k")
-        x = regularization.tsvd_solve(a, d, args.k)
-        method, parameter = "tsvd", args.k
+    method = "tikhonov" if args.noise is not None else args.method
+    if method == "tsvd":
+        parameter, x = args.k, regularization.tsvd_solve(a, d, args.k)
+    elif method == "tikhonov":
+        parameter, x = _tikhonov(args, a, d)
     else:
-        x = regularization.tikhonov_solve(a, d, 0.0)
-        method, parameter = "none", None
+        parameter, x = None, regularization.tikhonov_solve(a, d, 0.0)
 
-    report = {
+    return vector_to_csv(x), {
         "method": method,
         "parameter": parameter,
         "residual": math.hypot(*(a.matrix @ x - d).tolist()),
         "solution_norm": math.hypot(*x.tolist()),
     }
-    _emit(vector_to_csv(x), args.out)
-    sys.stdout.write(json_flat(report))
-    return 0
 
 
-def _cmd_fredholm_demo(args) -> int:
-    if args.lam is not None and args.noise is not None:
-        raise InvalidInputError("--lambda and --noise are mutually exclusive")
-    tau = _tau(args)
+def _cmd_fredholm_demo(args) -> tuple[str | None, dict]:
+    _check_tikhonov_options(args)
 
     import numpy as np
 
-    from . import fredholm, regularization
+    from . import fredholm
     from .fileio import table_to_csv
 
     result = fredholm.run_instability_experiment(args.n, args.n_osc)
@@ -192,21 +182,12 @@ def _cmd_fredholm_demo(args) -> int:
         "delta": result.delta,
     }
     if args.lam is not None or args.noise is not None:
-        k = problem.operator
-        lam = (
-            args.lam
-            if args.lam is not None
-            else regularization.discrepancy_select(k, rhs, args.noise, tau)
-        )
-        regularized = regularization.tikhonov_solve(k, rhs, lam)
+        lam, regularized = _tikhonov(args, problem.operator, rhs)
         header.append("f_regularized")
         columns.append(regularized)
         summary["lambda"] = lam
         summary["regularized_sup_deviation"] = float(np.max(np.abs(regularized - 1.0)))
-
-    _emit(table_to_csv(header, columns), args.out)
-    sys.stdout.write(json_flat(summary))
-    return 0
+    return table_to_csv(header, columns), summary
 
 
 def _parse_functional(text: str):
@@ -249,7 +230,7 @@ def _parse_probes(text: str):
         raise InvalidInputError(f"bad --probes {text!r}: {exc}") from exc
 
 
-def _cmd_influence(args) -> int:
+def _cmd_influence(args) -> tuple[str | None, dict]:
     from . import robustness
     from .fileio import read_distribution_csv, table_to_csv
 
@@ -257,19 +238,16 @@ def _cmd_influence(args) -> int:
     kind = _parse_functional(args.functional)
     probes = _parse_probes(args.probes)
     profile = robustness.influence_profile(kind, dist, probes)
-    summary = {
+    return table_to_csv(["probe", "influence"], [profile.probe_points, profile.values]), {
         "functional": args.functional,
         "gross_error_sensitivity": (
             "unbounded" if profile.unbounded_flag else profile.gross_error_sensitivity
         ),
         "asymptotic_variance": profile.asymptotic_variance,
     }
-    _emit(table_to_csv(["probe", "influence"], [profile.probe_points, profile.values]), args.out)
-    sys.stdout.write(json_flat(summary))
-    return 0
 
 
-def _cmd_finite_check(args) -> int:
+def _cmd_finite_check(args) -> tuple[str | None, dict]:
     from . import finite_maps
 
     if args.param_text is not None and args.map_text is None:
@@ -295,8 +273,7 @@ def _cmd_finite_check(args) -> int:
             payload["parameter_identifiable_sections"] = (
                 finite_maps.parameter_identifiable_sections(p, finite_maps.restrict_to_range(q))
             )
-        _emit(json_flat(payload), args.out)
-        return 0
+        return None, payload
 
     max_domain = 4 if args.max_domain is None else args.max_domain
     max_codomain = 4 if args.max_codomain is None else args.max_codomain
@@ -309,7 +286,7 @@ def _cmd_finite_check(args) -> int:
     t2_checked, t2_bad = finite_maps.check_parameter_equivalence_theorem(
         max_domain, max_codomain
     )
-    payload = {
+    return None, {
         "max_domain": max_domain,
         "max_codomain": max_codomain,
         "theorem1_maps_checked": t1_checked,
@@ -317,8 +294,6 @@ def _cmd_finite_check(args) -> int:
         "theorem2_pairs_checked": t2_checked,
         "theorem2_disagreements": t2_bad,
     }
-    _emit(json_flat(payload), args.out)
-    return 0
 
 
 _COMMANDS = {
@@ -333,7 +308,16 @@ _COMMANDS = {
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        table, report = _COMMANDS[args.command](args)
+        first = json_flat(report) if table is None else table
+        if args.out is None:
+            sys.stdout.write(first)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(first)
+        if table is not None:
+            sys.stdout.write(json_flat(report))
+        return 0
     except NumericalFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

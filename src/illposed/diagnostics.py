@@ -146,24 +146,26 @@ def stability_bound_check(
     lhs is the relative solution change ``||t1 - t2|| / ||t2||``, rhs is the
     condition number times the relative data change
     ``||A t1 - A t2|| / ||A t2||``; the bound lhs <= rhs holds for every
-    identifiable operator.  Euclidean norms throughout.  ``rtol`` is the
-    rank tolerance, as for :func:`diagnose`.
+    identifiable operator.  Euclidean norms throughout, taken without
+    squaring.  ``rtol`` is the rank tolerance, as for :func:`diagnose`.
     """
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
     if theta1.shape != (a.cols,) or theta2.shape != (a.cols,):
         raise InvalidInputError(f"theta vectors must have shape ({a.cols},)")
+    if not np.all(np.isfinite((theta1, theta2))):
+        raise InvalidInputError("theta vectors must be finite")
     _, s, rank = _numerical_rank(a, rtol)
     if rank != a.cols:
         raise InvalidInputError("stability bound requires an identifiable operator")
-    norm2 = np.linalg.norm(theta2)
+    norm2 = math.hypot(*theta2.tolist())
     a2 = a.matrix @ theta2
-    norm_a2 = np.linalg.norm(a2)
+    norm_a2 = math.hypot(*a2.tolist())
     if norm2 == 0 or norm_a2 == 0:
         raise InvalidInputError("theta2 and A theta2 must be nonzero")
     kappa = float(s[0] / s[rank - 1])
-    lhs = float(np.linalg.norm(theta1 - theta2) / norm2)
-    rhs = float(kappa * np.linalg.norm(a.matrix @ theta1 - a2) / norm_a2)
+    lhs = math.hypot(*(theta1 - theta2).tolist()) / norm2
+    rhs = kappa * math.hypot(*(a.matrix @ theta1 - a2).tolist()) / norm_a2
     return StabilityBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 + 1e-10))
 
 
@@ -188,17 +190,15 @@ def perturbation_amplification(
         raise InvalidInputError("perturbation amplification requires an identifiable operator")
     sol_ref = tikhonov_solve(a, data, 0.0)
     sol_pert = tikhonov_solve(a, data_perturbed, 0.0)
-    norm_data = np.linalg.norm(data)
-    norm_sol = np.linalg.norm(sol_ref)
-    norm_diff = np.linalg.norm(data_perturbed - data)
+    norm_data = math.hypot(*data.tolist())
+    norm_sol = math.hypot(*sol_ref.tolist())
+    norm_diff = math.hypot(*(data_perturbed - data).tolist())
     if norm_data == 0 or norm_sol == 0 or norm_diff == 0:
         raise InvalidInputError(
             "need nonzero reference data, nonzero reference solution, and a "
             "nonzero perturbation"
         )
-    return float(
-        (np.linalg.norm(sol_pert - sol_ref) / norm_sol) / (norm_diff / norm_data)
-    )
+    return (math.hypot(*(sol_pert - sol_ref).tolist()) / norm_sol) / (norm_diff / norm_data)
 
 
 def spectrum_decay(spectrum) -> float:

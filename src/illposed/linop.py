@@ -245,7 +245,7 @@ def linear_parameter_identifiable(
 
     For linear maps this is the null-space inclusion null(P) <= null(q),
     tested as ``max |q N| <= rtol * ||q||`` for an orthonormal null-space
-    basis N of P.
+    basis N of P and ||q|| = sigma_max from q's cached spectrum.
     """
     if p.cols != q.cols:
         raise InvalidInputError(
@@ -256,5 +256,4 @@ def linear_parameter_identifiable(
     basis = null_space(p, rtol)
     if basis.shape[1] == 0:
         return True
-    q_norm = float(np.linalg.norm(q.matrix, 2))
-    return float(np.max(np.abs(q.matrix @ basis))) <= rtol * q_norm
+    return float(np.max(np.abs(q.matrix @ basis))) <= rtol * float(q._spectrum[0])

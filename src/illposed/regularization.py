@@ -6,8 +6,9 @@ levels k = 1, 2, ... realize a nested sequence of restricted problems, each
 solved stably on a larger subspace; Tikhonov is the smooth version of the
 same idea.
 
-Every solve divides U^T d by sigma + lambda/sigma, which squares nothing;
-the one float-range failure left is a solution that itself overflows.
+Every solve divides U^T d by sigma + lambda/sigma, which squares nothing,
+and is redone on rescaled data when an intermediate overflows, so the one
+float-range failure left is a solution that itself overflows.
 """
 
 from __future__ import annotations
@@ -60,9 +61,15 @@ def tsvd_solve(a: DenseOperator, data, k: int) -> np.ndarray:
 
 def _filtered_solve(f: SvdFactors, d: np.ndarray, k: int, lam: float = 0.0) -> np.ndarray:
     # retained sigma are > 0; lam/sigma may overflow to inf, which filters to 0
-    s = f.singular_values[:k]
+    s, u, v = f.singular_values[:k], f.left_vectors[:, :k], f.right_vectors[:, :k]
     with np.errstate(over="ignore", invalid="ignore"):
-        x = f.right_vectors[:, :k] @ ((f.left_vectors[:, :k].T @ d) / (s + lam / s))
+        x = v @ ((u.T @ d) / (s + lam / s))
+        if np.all(np.isfinite(x)):
+            return x
+        # an intermediate such as U^T d can overflow where x does not:
+        # redo the solve on d scaled by a power of two, which is exact
+        e = math.frexp(float(np.max(np.abs(d))))[1]
+        x = np.ldexp(v @ ((u.T @ np.ldexp(d, -e)) / (s + lam / s)), e)
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError(
             "the solution overflows the float range; rescale the operator or the data"

@@ -552,6 +552,56 @@ class TestFiniteCheck:
         assert "too large to allocate" in res.stderr
 
 
+class TestOutputRouting:
+    @pytest.mark.parametrize(
+        "args, has_table",
+        [
+            (["analyze", "identity.csv"], False),
+            (["solve", "identity.csv", "data2.csv"], True),
+            (["fredholm-demo", "--n", "200", "--n-osc", "1", "--noise", "0.01"], True),
+            (["influence", "dist.csv", "--probes", "10:1e6:6"], True),
+            (["finite-check", "--max-domain", "2", "--max-codomain", "2"], False),
+        ],
+        ids=["analyze", "solve", "fredholm-demo", "influence", "finite-check"],
+    )
+    def test_out_takes_the_first_document(self, workdir, args, has_table):
+        plain = run_cli(*args, cwd=workdir)
+        routed = run_cli(*args, "--out", "out.txt", cwd=workdir)
+        assert plain.returncode == routed.returncode == 0
+        assert plain.stderr == routed.stderr == ""
+        # a table comes first and the JSON report starts on a line "{"
+        split = plain.stdout.index("\n{\n") + 1 if has_table else len(plain.stdout)
+        assert json.loads(plain.stdout[split:] or plain.stdout)
+        assert (workdir / "out.txt").read_text() == plain.stdout[:split]
+        assert routed.stdout == plain.stdout[split:]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["solve", "no_a.csv", "no_d.csv", "--tau", "2"], "--tau is read only with --noise"),
+            (["solve", "no_a.csv", "no_d.csv", "--method", "tsvd"], "tsvd requires --k"),
+            (
+                ["solve", "no_a.csv", "no_d.csv", "--method", "tikhonov"],
+                "tikhonov requires --lambda or --noise",
+            ),
+            (
+                ["solve", "no_a.csv", "no_d.csv", "--lambda", "1", "--noise", "1"],
+                "mutually exclusive",
+            ),
+            (
+                ["fredholm-demo", "--n", "200", "--n-osc", "1", "--lambda", "1", "--noise", "1"],
+                "mutually exclusive",
+            ),
+        ],
+        ids=["tau", "tsvd-k", "tikhonov-weight", "solve-exclusive", "fredholm-exclusive"],
+    )
+    def test_option_error_precedes_reading_input(self, tmp_path, args, message):
+        res = run_cli(*args, "--out", "out.txt", cwd=tmp_path)
+        assert_one_error_line(res, 2)
+        assert message in res.stderr
+        assert not (tmp_path / "out.txt").exists()
+
+
 def numpy_free_run(*args):
     """Run the CLI in a fresh interpreter and fail it if numpy was imported."""
     code = (

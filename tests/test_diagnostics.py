@@ -119,6 +119,24 @@ class TestStabilityBound:
         assert check.holds
         assert check.lhs == pytest.approx(check.rhs, rel=1e-6)
 
+    def test_thetas_whose_square_overflows(self):
+        # ||theta||^2 overflows; the bound is scale-invariant, so both sides
+        # read ||(0, 1)|| / ||(1, 2)|| = 1 / sqrt(5)
+        bound = stability_bound_check(
+            DenseOperator(np.eye(2)), np.array([1e160, 1e160]), np.array([1e160, 2e160])
+        )
+        assert (bound.lhs, bound.rhs, bound.holds) == (
+            0.4472135954999579, 0.4472135954999579, True
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_theta_rejected(self, bad, which):
+        thetas = [np.array([1.0, 2.0]), np.array([2.0, 1.0])]
+        thetas[which][1] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            stability_bound_check(DenseOperator(np.eye(2)), *thetas)
+
     def test_zero_theta2_rejected(self):
         with pytest.raises(InvalidInputError):
             stability_bound_check(DenseOperator(np.eye(2)), np.ones(2), np.zeros(2))
@@ -191,6 +209,13 @@ class TestPerturbationAmplification:
             d2 = d + 1e-4 * RNG.standard_normal(5)
             amp = perturbation_amplification(a, d, d2)
             assert amp <= kappa * (1 + 1e-8)
+
+    def test_data_whose_square_overflows(self):
+        # ||d||^2 overflows: norms that square read inf, and the ratio NaN
+        amp = perturbation_amplification(
+            DenseOperator(np.eye(2)), np.array([1e160, 1e160]), np.array([1e160, 2e160])
+        )
+        assert amp == 1.0
 
     def test_equal_data_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -318,7 +318,8 @@ class TestSharedFactorization:
         q.write_text("2,2,-1\n")
         calls = count_lapack_svd(monkeypatch)
         assert cli.run(["analyze", str(a), "--param", str(q)]) == 0
-        assert svd_kinds(calls) == ["thin"]
+        # the operator once, with vectors; ||q|| from q's values alone
+        assert svd_kinds(calls) == ["thin", "values"]
         assert '"parameter_identifiable": true' in capsys.readouterr().out
 
     def test_lapack_failure_is_numerical_failure(self, monkeypatch):
@@ -326,6 +327,15 @@ class TestSharedFactorization:
         for fn in (svd, null_space, diagnostics.diagnose):
             with pytest.raises(NumericalFailureError, match="did not converge"):
                 fn(DenseOperator(np.eye(3)))
+
+    def test_parameter_norm_failure_is_numerical_failure(self, monkeypatch):
+        # ||q|| comes from q's cached spectrum, so its LAPACK failure maps too
+        p, q = DenseOperator([[1.0, 1.0]]), DenseOperator([[1.0, 0.0]])
+        svd(p)
+        calls = count_lapack_svd(monkeypatch, fail=True)
+        with pytest.raises(NumericalFailureError, match="did not converge"):
+            linear_parameter_identifiable(p, q)
+        assert svd_kinds(calls) == ["values"]
 
     def test_factors_are_read_only(self):
         a = DenseOperator([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

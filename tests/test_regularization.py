@@ -258,6 +258,19 @@ class TestFloatRange:
         # a weight at least the smallest normal float keeps the filter in range
         assert np.all(tikhonov_solve(a, np.ones(2), 1.0) == 1e-160)
 
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda a, d: tikhonov_solve(a, d, 0.0), lambda a, d: tsvd_solve(a, d, 2)],
+        ids=["tikhonov", "tsvd"],
+    )
+    def test_intermediate_overflow_is_not_a_failure(self, solve):
+        # U^T d overflows (sqrt 2 * 1.5e308), but the solution (1.06e308, 0) does not
+        c = math.sqrt(0.5)
+        a = DenseOperator(2 * np.array([[c, c], [c, -c]]))
+        d = np.array([1.5e308, 1.5e308])
+        want = np.linalg.solve(a.matrix, d)
+        assert np.max(np.abs(solve(a, d) - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_restriction_sequence_solution_overflows(self):
         a = DenseOperator(np.diag([1e-320, 1e-320]))
         with pytest.raises(NumericalFailureError, match="solution overflows"):
