@@ -11,7 +11,7 @@ stdout, and the report follows it on stdout; a handler without a table
 sends its report where the table would have gone.
 
 Each handler imports the numeric modules it needs, so ``finite-check``
-runs without importing numpy.
+and ``influence`` run without importing numpy.
 """
 
 from __future__ import annotations
@@ -206,9 +206,8 @@ def _parse_functional(text: str):
     raise InvalidInputError(f"unknown functional {text!r}; use mean, median, or trimmed:<frac>")
 
 
-def _parse_probes(text: str):
-    import numpy as np
-
+def _parse_probes(text: str) -> list[float]:
+    """``count`` points from min to max, spaced as ``numpy.geomspace`` spaces them."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidInputError(f"--probes wants min:max:count, got {text!r}")
@@ -220,14 +219,18 @@ def _parse_probes(text: str):
         raise InvalidInputError(f"--probes needs a finite min and max, got {text!r}")
     if lo <= 0 or hi <= lo or count < 2:
         raise InvalidInputError("--probes needs 0 < min < max and count >= 2")
-    # no address space holds more float64 values; near 2**63 numpy's own
-    # size check misses and fails with an IndexError
+    # no address space holds more 8-byte values
     if count > sys.maxsize // 8:
         raise InvalidInputError(f"--probes count {count} exceeds {sys.maxsize // 8}")
-    try:
-        return np.geomspace(lo, hi, count)
-    except ValueError as exc:  # numpy refuses the count
-        raise InvalidInputError(f"bad --probes {text!r}: {exc}") from exc
+    # allocated whole first, so a count that cannot be held fails at once;
+    # the ends are exact, the rest are 10 ** (log10(min) + k * step)
+    probes = [hi] * count
+    probes[0] = lo
+    start = math.log10(lo)
+    step = (math.log10(hi) - start) / (count - 1)
+    for k in range(1, count - 1):
+        probes[k] = 10.0 ** (start + k * step)
+    return probes
 
 
 def _cmd_influence(args) -> tuple[str | None, dict]:

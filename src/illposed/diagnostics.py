@@ -164,8 +164,10 @@ def stability_bound_check(
     if norm2 == 0 or norm_a2 == 0:
         raise InvalidInputError("theta2 and A theta2 must be nonzero")
     kappa = float(s[0] / s[rank - 1])
-    lhs = math.hypot(*(theta1 - theta2).tolist()) / norm2
-    rhs = kappa * math.hypot(*(a.matrix @ theta1 - a2).tolist()) / norm_a2
+    d_theta, k_theta = _difference_norm(theta1, theta2)
+    d_data, k_data = _difference_norm(a.matrix @ theta1, a2)
+    lhs = d_theta / norm2 * k_theta
+    rhs = kappa * d_data / norm_a2 * k_data
     return StabilityBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 + 1e-10))
 
 
@@ -192,13 +194,28 @@ def perturbation_amplification(
     sol_pert = tikhonov_solve(a, data_perturbed, 0.0)
     norm_data = math.hypot(*data.tolist())
     norm_sol = math.hypot(*sol_ref.tolist())
-    norm_diff = math.hypot(*(data_perturbed - data).tolist())
+    norm_diff, k_data = _difference_norm(data_perturbed, data)
     if norm_data == 0 or norm_sol == 0 or norm_diff == 0:
         raise InvalidInputError(
             "need nonzero reference data, nonzero reference solution, and a "
             "nonzero perturbation"
         )
-    return (math.hypot(*(sol_pert - sol_ref).tolist()) / norm_sol) / (norm_diff / norm_data)
+    norm_sol_diff, k_sol = _difference_norm(sol_pert, sol_ref)
+    return (norm_sol_diff / norm_sol * k_sol) / (norm_diff / norm_data * k_data)
+
+
+def _difference_norm(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """``(norm, scale)`` with ``||u - v|| = norm * scale``, taken without squaring.
+
+    A difference of finite vectors that overflows is taken again on the
+    halved vectors, which is exact for normal floats, and its scale is 2; a
+    caller divides the norm before it multiplies by the scale.
+    """
+    with np.errstate(over="ignore"):
+        d = u - v
+    if np.all(np.isfinite(d)):
+        return math.hypot(*d.tolist()), 1.0
+    return math.hypot(*(0.5 * u - 0.5 * v).tolist()), 2.0
 
 
 def spectrum_decay(spectrum) -> float:

@@ -3,16 +3,17 @@
 All floats are written with 17 significant digits so values round-trip
 exactly and identical invocations produce identical bytes.
 
-CSV input is parsed by ``numpy.loadtxt``, which converts each field with
-the same correctly rounded conversion as Python's ``float``.  Where numpy
-rejects a file, the reader needs another column count, or the file holds a
-character numpy would strip from a field and ``float`` would not, the file
-is parsed again line by line in Python.  That parser accepts exactly the
-inputs the readers have always accepted (blank lines, underscores in
-numbers) and reports errors as ``path:lineno: message``.
+Matrices and vectors are parsed by ``numpy.loadtxt``, which converts each
+field with the same correctly rounded conversion as Python's ``float``.
+Where numpy rejects a file, the reader needs another column count, or the
+file holds a character numpy would strip from a field and ``float`` would
+not, the file is parsed again line by line in Python.  That parser alone
+reads distributions; it accepts exactly the inputs the readers have always
+accepted (blank lines, underscores in numbers) and reports errors as
+``path:lineno: message``.
 
 The module imports numpy only inside the readers and writers that use it,
-so ``fmt_float`` and ``json_flat`` run without it.
+so ``read_distribution_csv``, ``fmt_float`` and ``json_flat`` run without it.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def read_distribution_csv(path: str) -> EmpiricalDistribution:
     """Read (location, weight) rows into an EmpiricalDistribution."""
     from .robustness import EmpiricalDistribution
 
-    locations, weights = _load(path, n_fields=2).T
-    return EmpiricalDistribution(locations, weights)
+    rows = _parse_rows(path, n_fields=2)
+    return EmpiricalDistribution([r[0] for r in rows], [r[1] for r in rows])
 
 
 def matrix_to_csv(matrix: np.ndarray) -> str:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate, chain, compress, repeat
+from operator import itemgetter, mul, ne, sub
 
 from .errors import InvalidInputError, NumericalFailureError
 
@@ -56,45 +57,51 @@ def trimmed_mean(trim_fraction: float) -> FunctionalKind:
 _WEIGHT_TOL = 1e-12
 
 
+def _floats(values, message: str) -> tuple[float, ...]:
+    """A 1-D sequence of numbers (a numpy array too) as a tuple of floats."""
+    if getattr(values, "ndim", 1) != 1:
+        raise InvalidInputError(message)
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{message}: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Weighted point masses on the real line, sorted by location.
+    """Weighted point masses on the real line, held as tuples sorted by location.
 
-    Weights must be positive and sum to 1 within 1e-12.
+    Weights must be positive and sum to 1 within 1e-12 (by ``math.fsum``).
+    Atoms at one location keep their input order.
     """
 
-    locations: np.ndarray
-    weights: np.ndarray
+    locations: tuple[float, ...]
+    weights: tuple[float, ...]
 
     def __post_init__(self):
-        loc = np.asarray(self.locations, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if loc.ndim != 1 or loc.shape != w.shape or loc.size == 0:
-            raise InvalidInputError("locations and weights must be equal-length 1-D and nonempty")
-        if not np.all(np.isfinite(loc)):
+        shape = "locations and weights must be equal-length 1-D and nonempty"
+        loc, w = _floats(self.locations, shape), _floats(self.weights, shape)
+        if len(loc) != len(w) or not loc:
+            raise InvalidInputError(shape)
+        if not all(map(math.isfinite, loc)):
             raise InvalidInputError("locations must be finite")
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
+        if not all(0.0 < v < math.inf for v in w):
             raise InvalidInputError("weights must be positive and finite")
-        total = float(np.sum(w))
+        total = math.fsum(w)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise InvalidInputError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
-        order = np.argsort(loc, kind="stable")
-        loc, w = loc[order].copy(), w[order].copy()
-        loc.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "locations", loc)
-        object.__setattr__(self, "weights", w)
+        atoms = sorted(zip(loc, w), key=itemgetter(0))  # stable: ties keep their order
+        object.__setattr__(self, "locations", tuple(map(itemgetter(0), atoms)))
+        object.__setattr__(self, "weights", tuple(map(itemgetter(1), atoms)))
 
     @classmethod
     def from_atoms(cls, atoms) -> "EmpiricalDistribution":
         pairs = list(atoms)
-        if not pairs:
-            raise InvalidInputError("need at least one atom")
-        return cls(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+        return cls([p[0] for p in pairs], [p[1] for p in pairs])
 
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.locations.tolist(), self.weights.tolist()))
+        return tuple(zip(self.locations, self.weights))
 
 
 def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
@@ -106,23 +113,21 @@ def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
     trim_fraction of mass from each tail, splitting atoms proportionally,
     and averages what remains.
     """
-    if t.kind is Functional.MEAN:
-        return float(np.dot(f.weights, f.locations))
     if t.kind is Functional.MEDIAN:
-        return float(f.locations[_median_index(np.cumsum(f.weights))])
+        return f.locations[_median_index(list(accumulate(f.weights)))]
     alpha = t.trim_fraction
-    if alpha == 0.0:
-        return float(np.dot(f.weights, f.locations))
-    hi_edge = np.cumsum(f.weights)
-    lo_edge = hi_edge - f.weights
-    kept = np.minimum(hi_edge, 1.0 - alpha) - np.maximum(lo_edge, alpha)
-    kept = np.maximum(kept, 0.0)
-    return float(np.dot(kept, f.locations) / (1.0 - 2.0 * alpha))
+    if not alpha:  # the mean, or a trimmed mean that trims nothing
+        return math.fsum(map(mul, f.weights, f.locations))
+    kept = (
+        max(min(hi, 1.0 - alpha) - max(hi - w, alpha), 0.0)
+        for hi, w in zip(accumulate(f.weights), f.weights)
+    )
+    return math.fsum(map(mul, kept, f.locations)) / (1.0 - 2.0 * alpha)
 
 
-def _median_index(cum: np.ndarray) -> int:
+def _median_index(cum: list[float]) -> int:
     # first atom whose cumulative weight reaches 1/2, within the tolerance
-    return min(int(np.searchsorted(cum, 0.5 - _WEIGHT_TOL)), cum.size - 1)
+    return min(bisect_left(cum, 0.5 - _WEIGHT_TOL), len(cum) - 1)
 
 
 def contaminate(f: EmpiricalDistribution, eps: float, y: float) -> EmpiricalDistribution:
@@ -136,13 +141,11 @@ def contaminate(f: EmpiricalDistribution, eps: float, y: float) -> EmpiricalDist
     if not math.isfinite(y):
         raise InvalidInputError(f"contamination location must be finite, got {y}")
     loc = f.locations
-    w = f.weights * (1.0 - eps)
-    hit = np.nonzero(loc == y)[0]
-    if hit.size:
-        w = w.copy()
-        w[hit[0]] += eps
+    w = [v * (1.0 - eps) for v in f.weights]
+    if y in loc:
+        w[loc.index(y)] += eps
         return EmpiricalDistribution(loc, w)
-    return EmpiricalDistribution(np.append(loc, y), np.append(w, eps))
+    return EmpiricalDistribution(loc + (y,), w + [eps])
 
 
 def influence_function(t: FunctionalKind, f: EmpiricalDistribution, y: float) -> float:
@@ -162,90 +165,120 @@ def influence_function(t: FunctionalKind, f: EmpiricalDistribution, y: float) ->
     """
     if not math.isfinite(y):
         raise InvalidInputError(f"contamination location must be finite, got {y}")
+    y = float(y)
+    if t.kind is not Functional.TRIMMED_MEAN:
+        return _influence_over(t, f)([y])[0]
+    # y joins as a zero-weight atom unless it is already a location; the atom
+    # at x takes entry [y <= x] + [y < x] of its slopes (y above, at, below x)
+    loc, w = list(f.locations), list(f.weights)
+    if y not in loc:
+        at = bisect_left(loc, y)
+        loc.insert(at, y)
+        w.insert(at, 0.0)
+    alpha = t.trim_fraction
+    d_kept = [
+        _kept_slopes(hi, hi - wi, alpha)[(y <= x) + (y < x)]
+        for hi, wi, x in zip(accumulate(w), w, loc)
+    ]
+    return math.fsum(map(mul, loc, d_kept)) / (1.0 - 2.0 * alpha)
+
+
+def _influence_over(t: FunctionalKind, f: EmpiricalDistribution):
+    """:func:`influence_function` as a function of ascending finite ys."""
+    if t.kind is Functional.TRIMMED_MEAN:
+        return _trimmed_influence_over(t.trim_fraction, f)
     if t.kind is Functional.MEAN:
-        return float(y - evaluate(MEAN, f))
-    if t.kind is Functional.MEDIAN:
-        median = _jumping_median(f)
-        if median is not None and y > median:
-            raise _no_convergence(y, median)
-        return 0.0
-    return _trimmed_influence(t.trim_fraction, f, y)
-
-
-def _jumping_median(f: EmpiricalDistribution) -> float | None:
-    """The median if its atom holds cumulative weight 1/2, else None."""
-    cum = np.cumsum(f.weights)
+        mu = evaluate(MEAN, f)
+        return lambda ys: [y - mu for y in ys]
+    cum = list(accumulate(f.weights))
     idx = _median_index(cum)
-    return float(f.locations[idx]) if abs(cum[idx] - 0.5) <= _WEIGHT_TOL else None
+    median = f.locations[idx] if abs(cum[idx] - 0.5) <= _WEIGHT_TOL else math.inf
+
+    def values(ys):
+        for y in ys:
+            if y > median:
+                raise NumericalFailureError(
+                    f"influence quotient does not converge at y = {y}: the median "
+                    f"{median!r} holds cumulative weight 1/2 and jumps under "
+                    "contamination above it"
+                )
+        return [0.0] * len(ys)
+
+    return values
 
 
-def _no_convergence(y: float, median: float) -> NumericalFailureError:
-    return NumericalFailureError(
-        f"influence quotient does not converge at y = {y}: the median {median!r} "
-        "holds cumulative weight 1/2 and jumps under contamination above it"
-    )
-
-
-def _trimmed_influence(alpha: float, f: EmpiricalDistribution, y: float) -> float:
-    # y joins as a zero-weight atom unless it is already a location, so
-    # every atom's edges move with slopes [y < x] - lo and [y <= x] - hi
-    loc, w = f.locations, f.weights
-    if not np.any(loc == y):
-        at = int(np.searchsorted(loc, y))
-        loc, w = np.insert(loc, at, y), np.insert(w, at, 0.0)
-    hi = np.cumsum(w)
-    d_kept = _kept_slope(hi, hi - w, y <= loc, y < loc, alpha)
-    return float(np.dot(loc, d_kept) / (1.0 - 2.0 * alpha))
-
-
-def _trimmed_influence_values(alpha: float, f: EmpiricalDistribution, ys: np.ndarray):
-    """:func:`_trimmed_influence` at every y, in O((m + len(ys)) log m).
+def _trimmed_influence_over(alpha: float, f: EmpiricalDistribution):
+    """The trimmed-mean influence as a function of ascending ys, O(log m) each.
 
     An atom's slope depends on y only through whether it lies below, at or
     above y, so each atom has three slopes, fixed once.  Prefix sums of
-    location times slope then give the sum below y, at y and above y, and
-    searchsorted finds where each y splits the sorted atoms.
+    location times slope give the sum below, at and above y, and bisection
+    finds where y splits the sorted atoms.
     """
-    loc, w = f.locations, f.weights
-    hi = np.cumsum(w)
-    lo = hi - w
-    below = np.concatenate(([0.0], np.cumsum(loc * _kept_slope(hi, lo, 0.0, 0.0, alpha))))
-    at = np.concatenate(([0.0], np.cumsum(loc * _kept_slope(hi, lo, 1.0, 0.0, alpha))))
-    above = loc * _kept_slope(hi, lo, 1.0, 1.0, alpha)
-    above = np.concatenate((np.cumsum(above[::-1])[::-1], [0.0]))
-    left = np.searchsorted(loc, ys, side="left")
-    right = np.searchsorted(loc, ys, side="right")
-    # a y that is not a location joins as a zero-weight atom with both
-    # edges at the weight below it
-    edge = np.concatenate(([0.0], hi))[left]
-    joined = np.where(left == right, ys * _kept_slope(edge, edge, 1.0, 0.0, alpha), 0.0)
-    total = below[left] + (at[right] - at[left]) + above[right] + joined
-    return total / (1.0 - 2.0 * alpha)
+    loc = f.locations
+    hi = list(accumulate(f.weights))
+    inner, outer, top = alpha + _WEIGHT_TOL, alpha - 1.0 + _WEIGHT_TOL, 1.0 - alpha
+    below, at, above = [], [], []
+    for h, w, x in zip(hi, f.weights, loc):
+        lo = h - w
+        # as _kept_slopes finds: inside both trim levels each edge moves with
+        # its own slope, and wholly outside them no weight is kept
+        if lo > inner and -h > outer and h - lo > _WEIGHT_TOL:
+            s = -h - -lo, -(h - 1) - -lo, -(h - 1) - (1 - lo)
+        elif h - alpha < -_WEIGHT_TOL or top - lo < -_WEIGHT_TOL:
+            s = 0.0, 0.0, 0.0
+        else:
+            s = _kept_slopes(h, lo, alpha)
+        below.append(x * s[0])
+        at.append(x * s[1])
+        above.append(x * s[2])
+    below = [0.0, *accumulate(below)]
+    at = [0.0, *accumulate(at)]
+    above = [*accumulate(reversed(above))][::-1] + [0.0]
+    edge = [0.0, *hi]
+    scale = 1.0 - 2.0 * alpha
+
+    def values(ys):
+        if ys is loc:  # the atoms: each run of tied atoms splits as one y
+            cuts = [0, *compress(range(1, len(loc)), map(ne, loc, loc[1:])), len(loc)]
+            runs = [
+                (below[i] + (at[j] - at[i]) + above[j]) / scale for i, j in zip(cuts, cuts[1:])
+            ]
+            return list(chain.from_iterable(map(repeat, runs, map(sub, cuts[1:], cuts))))
+        out = []
+        for y in ys:
+            left, right = bisect_left(loc, y), bisect_right(loc, y)
+            # a y that is not a location joins as a zero-weight atom with
+            # both edges at the weight below it
+            joined = y * _kept_slopes(edge[left], edge[left], alpha)[1] if left == right else 0.0
+            out.append((below[left] + (at[right] - at[left]) + above[right] + joined) / scale)
+        return out
+
+    return values
 
 
-def _kept_slope(hi, lo, at_or_above, above, alpha: float) -> np.ndarray:
-    """Right derivative of each atom's kept weight toward a point mass at y.
+def _kept_slopes(hi: float, lo: float, alpha: float) -> tuple[float, float, float]:
+    """Right derivatives of an atom's kept weight toward a point mass at y,
+    for y above the atom, at it and below it.
 
-    ``hi`` and ``lo`` are the atom's cumulative edges, ``at_or_above`` is
-    [y <= x] and ``above`` is [y < x].  The kept weight is
+    ``hi`` and ``lo`` are the atom's cumulative edges; they move with slopes
+    [y <= x] - hi and [y < x] - lo.  The kept weight is
     max(0, min(hi, 1 - alpha) - max(lo, alpha)), as in :func:`evaluate`,
     with min(hi, 1 - alpha) = -max(-hi, alpha - 1).
     """
-    neg_upper, neg_d_upper = _right_max(-hi, hi - at_or_above, alpha - 1.0)
-    lower, d_lower = _right_max(lo, above - lo, alpha)
-    _, d_kept = _right_max(-neg_upper - lower, -neg_d_upper - d_lower, 0.0)
-    return d_kept
 
+    def right(value, slope, floor):
+        # of max(value + eps * slope, floor) at eps = 0; within the weight
+        # tolerance of the floor the larger slope wins
+        if value > floor + _WEIGHT_TOL:
+            return slope
+        return max(slope, 0.0) if value >= floor - _WEIGHT_TOL else 0.0
 
-def _right_max(value: np.ndarray, slope: np.ndarray, floor: float):
-    """max(value + eps * slope, floor) at eps = 0 and its right derivative.
-
-    Within the weight tolerance of the floor the larger slope wins.
-    """
-    above = value > floor + _WEIGHT_TOL
-    tied = ~above & (value >= floor - _WEIGHT_TOL)
-    d = np.where(above, slope, np.where(tied, np.maximum(slope, 0.0), 0.0))
-    return np.maximum(value, floor), d
+    kept = -max(-hi, alpha - 1.0) - max(lo, alpha)
+    return tuple(
+        right(kept, -right(-hi, hi - a, alpha - 1.0) - right(lo, b - lo, alpha), 0.0)
+        for a, b in ((0, 0), (1, 0), (1, 1))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,8 +290,8 @@ class InfluenceProfile:
     literal supremum over the whole line.
     """
 
-    probe_points: np.ndarray
-    values: np.ndarray
+    probe_points: tuple[float, ...]
+    values: tuple[float, ...]
     gross_error_sensitivity: float
     unbounded_flag: bool
     asymptotic_variance: float
@@ -275,18 +308,20 @@ def influence_profile(
     The atoms are sorted once, so p probes over m atoms cost
     O((m + p) log m) rather than one O(m) call per point.
     """
-    probes = np.asarray(probe_points, dtype=float)
-    if probes.size == 0:
+    probes = _floats(probe_points, "probe points must be a 1-D sequence of numbers")
+    if not probes:
         raise InvalidInputError("need at least one probe point")
-    if np.any(np.diff(probes) < 0):
+    if any(b < a for a, b in zip(probes, probes[1:])):
         raise InvalidInputError("probe points must be sorted ascending")
-    if not np.all(np.isfinite(probes)):
+    if not all(map(math.isfinite, probes)):
         raise InvalidInputError("probe points must be finite")
-    values = _influence_values(t, f, probes)
+    influence = _influence_over(t, f)  # the sums over the atoms serve both calls
+    values = tuple(influence(probes))
 
-    unbounded = _grows_linearly(np.abs(probes), np.abs(values))
-    gamma = float("inf") if unbounded else float(np.max(np.abs(values)))
-    variance = float(np.dot(f.weights, _influence_values(t, f, f.locations) ** 2))
+    unbounded = _grows_linearly(map(abs, probes), map(abs, values))
+    gamma = math.inf if unbounded else max(map(abs, values))
+    at_atoms = influence(f.locations)
+    variance = math.fsum(map(mul, f.weights, map(mul, at_atoms, at_atoms)))
     return InfluenceProfile(
         probe_points=probes,
         values=values,
@@ -296,32 +331,19 @@ def influence_profile(
     )
 
 
-def _influence_values(t: FunctionalKind, f: EmpiricalDistribution, ys: np.ndarray):
-    """:func:`influence_function` at every finite y of an array, in one pass."""
-    if t.kind is Functional.MEAN:
-        return ys - evaluate(MEAN, f)
-    if t.kind is Functional.MEDIAN:
-        median = _jumping_median(f)
-        if median is not None and np.any(ys > median):
-            raise _no_convergence(float(ys[np.argmax(ys > median)]), median)
-        return np.zeros(ys.shape)
-    return _trimmed_influence_values(t.trim_fraction, f, ys)
-
-
-def _grows_linearly(magnitudes: np.ndarray, if_abs: np.ndarray) -> bool:
+def _grows_linearly(magnitudes, if_abs) -> bool:
     # one |IF| value per distinct probe magnitude (keep the largest), then a
-    # raw-space slope over the outer 20% of magnitudes
+    # raw-space least-squares slope over the outer 20% of magnitudes
     per_mag: dict[float, float] = {}
     for m, v in zip(magnitudes, if_abs):
         per_mag[m] = max(per_mag.get(m, 0.0), v)
-    if len(per_mag) < 2:
+    x = sorted(per_mag)[-max(2, math.ceil(0.2 * len(per_mag))):]
+    if len(x) < 2:
         return False
-    mags = np.array(sorted(per_mag))
-    vals = np.array([per_mag[m] for m in mags])
-    outer = max(2, math.ceil(0.2 * mags.size))
-    x, v = mags[-outer:], vals[-outer:]
-    slope, _ = np.polyfit(x, v, 1)
-    return bool(slope > 0.5)
+    v = [per_mag[m] for m in x]
+    x_bar, v_bar = math.fsum(x) / len(x), math.fsum(v) / len(v)
+    dx = [m - x_bar for m in x]
+    return math.fsum(d * (b - v_bar) for d, b in zip(dx, v)) / math.fsum(d * d for d in dx) > 0.5
 
 
 @dataclass(frozen=True)

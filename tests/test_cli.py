@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from illposed.cli import _parse_probes
+
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
@@ -470,6 +472,27 @@ class TestInfluence:
         assert "--probes" in res.stderr
         assert "Traceback" not in res.stderr
 
+    def test_probe_grid_matches_geomspace(self):
+        # the arithmetic of np.geomspace: exact ends and 10 ** (log10(lo) + k * step)
+        # between them.  numpy's log10 and power kernels may round differently
+        # from the C library's, by 1 ulp: a power that does moves a probe by
+        # 1 ulp, a log10 that does moves the exponents by a few ulp of the
+        # larger |log10| of the ends, and so each probe by ln(10) times that
+        rng = np.random.default_rng(3)
+        grid = [(0.5, 50.0, 16), (10.0, 1e6, 7), (1e-300, 1e300, 1001), (1.0, 2.0, 2)]
+        for _ in range(200):
+            lo = 10.0 ** rng.uniform(-8, 8)
+            grid.append((lo, lo * 10.0 ** rng.uniform(1e-6, 12), int(rng.integers(2, 300))))
+        for lo, hi, count in grid:
+            probes = np.array(_parse_probes(f"{lo!r}:{hi!r}:{count}"))
+            want = np.geomspace(lo, hi, count)
+            assert probes[0] == lo and probes[-1] == hi
+            tol = 2 * np.spacing(want)
+            if np.log10(lo) != math.log10(lo) or np.log10(hi) != math.log10(hi):
+                exponent_ulp = np.spacing(max(abs(math.log10(lo)), abs(math.log10(hi))))
+                tol += want * math.log(10) * 4 * exponent_ulp
+            assert np.all(np.abs(probes - want) <= tol), (lo, hi, count)
+
     def test_divergent_quotient_exit_3(self, tmp_path):
         # the median of two half atoms jumps under any contamination beyond
         # the upper atom, so the influence quotient diverges
@@ -644,3 +667,31 @@ class TestNumpyFree:
         res = numpy_free_run("finite-check", "--max-domain", "6")
         assert res.returncode == 2
         assert "[1, 5]" in res.stderr
+
+    @pytest.mark.parametrize("functional", ["mean", "median", "trimmed:0.25"])
+    def test_influence(self, workdir, functional):
+        res = numpy_free_run(
+            "influence", str(workdir / "dist.csv"), "--functional", functional,
+            "--probes", "10:1e6:6",
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("probe,influence\n")
+        assert json.loads(res.stdout[res.stdout.index("{"):])["functional"] == functional
+
+    @pytest.mark.parametrize(
+        "dist, probes, code, message",
+        [
+            ("knife.csv", "100:1e4:3", 3, "converge"),
+            ("missing.csv", "10:1e6:6", 2, "missing.csv"),
+            ("dist.csv", "10:1e6", 2, "--probes"),
+            ("dist.csv", "1:2:0", 2, "--probes"),
+        ],
+        ids=["median-jump", "missing-file", "bad-probes", "bad-probe-count"],
+    )
+    def test_influence_error_paths(self, workdir, dist, probes, code, message):
+        (workdir / "knife.csv").write_text("0.0,0.5\n10.0,0.5\n")
+        res = numpy_free_run(
+            "influence", str(workdir / dist), "--functional", "median", "--probes", probes
+        )
+        assert_one_error_line(res, code)
+        assert message in res.stderr

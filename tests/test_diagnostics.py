@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ class TestStabilityBound:
             0.4472135954999579, 0.4472135954999579, True
         )
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_thetas_whose_difference_overflows(self, swap):
+        # theta1 - theta2 = (+-2e308, 0) leaves the float range; both sides
+        # are ||(2e308, 0)|| / ||(1e308, 1)|| = 2
+        thetas = [np.array([1e308, 1.0]), np.array([-1e308, 1.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = stability_bound_check(DenseOperator(np.eye(2)), *thetas[:: -1 if swap else 1])
+        assert (bound.lhs, bound.rhs, bound.holds) == (2.0, 2.0, True)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("which", [0, 1])
     def test_non_finite_theta_rejected(self, bad, which):
@@ -215,6 +226,16 @@ class TestPerturbationAmplification:
         amp = perturbation_amplification(
             DenseOperator(np.eye(2)), np.array([1e160, 1e160]), np.array([1e160, 2e160])
         )
+        assert amp == 1.0
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_data_whose_difference_overflows(self, swap):
+        # the data and the solution both change by (+-2e308, 0), so the
+        # relative changes are both 2 and their ratio is 1
+        data = [np.array([1e308, 1.0]), np.array([-1e308, 1.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            amp = perturbation_amplification(DenseOperator(np.eye(2)), *data[:: -1 if swap else 1])
         assert amp == 1.0
 
     def test_equal_data_rejected(self):

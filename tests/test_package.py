@@ -54,3 +54,19 @@ def test_finite_maps_import_without_numpy():
         [sys.executable, "-B", "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
     )
     assert res.returncode == 0
+
+
+def test_influence_profile_without_numpy():
+    code = (
+        "import sys\n"
+        "from illposed import EmpiricalDistribution, influence_profile, MEAN\n"
+        "f = EmpiricalDistribution.from_atoms([(-1.0, 0.5), (1.0, 0.5)])\n"
+        "profile = influence_profile(MEAN, f, [-2.0, 0.0, 2.0])\n"
+        "assert profile.values == (-2.0, 0.0, 2.0)\n"
+        "assert profile.asymptotic_variance == 1.0\n"
+        "sys.exit('numpy' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-B", "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+    )
+    assert res.returncode == 0

@@ -10,6 +10,7 @@ from illposed.robustness import (
     EmpiricalDistribution,
     Functional,
     FunctionalKind,
+    _grows_linearly,
     contaminate,
     evaluate,
     influence_function,
@@ -72,6 +73,45 @@ class TestEmpiricalDistribution:
     def test_atoms_sorted_by_location(self):
         d = dist((3.0, 0.25), (1.0, 0.5), (2.0, 0.25))
         assert d.atoms == ((1.0, 0.5), (2.0, 0.25), (3.0, 0.25))
+
+    @pytest.mark.parametrize(
+        "locations, weights",
+        [
+            (np.array([[0.0, 1.0], [2.0, 3.0]]), np.full((2, 2), 0.25)),
+            (np.array([[0.0], [1.0]]), np.array([[0.5], [0.5]])),
+            (np.array([[0.0], [1.0]]), np.array([0.5, 0.5])),
+            ([[0.0], [1.0]], [0.5, 0.5]),
+            ([0.0, 1.0], [1.0]),
+            (["a", "b"], [0.5, 0.5]),
+            ([0.0, 1.0], [0.5, None]),
+            ([], []),
+            (np.array([]), np.array([])),
+        ],
+        ids=["2-d", "column", "column-locations", "nested-list", "lengths", "text", "none",
+             "empty", "empty-array"],
+    )
+    def test_malformed_input_is_invalid(self, locations, weights):
+        with pytest.raises(InvalidInputError):
+            EmpiricalDistribution(locations, weights)
+
+    def test_empty_atoms_rejected(self):
+        with pytest.raises(InvalidInputError):
+            EmpiricalDistribution.from_atoms([])
+
+    def test_tied_locations_keep_the_stable_argsort_order(self):
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 4, 40).astype(float)
+        w = rng.uniform(0.5, 1.0, 40)
+        w /= w.sum()
+        order = np.argsort(x, kind="stable")
+        f = EmpiricalDistribution(x, w)
+        assert f.locations == tuple(x[order].tolist())
+        assert f.weights == tuple(w[order].tolist())
+
+    def test_fields_are_tuples_of_floats(self):
+        f = EmpiricalDistribution(np.array([2, 1]), [0.25, np.float64(0.75)])
+        assert f.locations == (1.0, 2.0) and f.weights == (0.75, 0.25)
+        assert all(type(v) is float for v in f.locations + f.weights)
 
 
 class TestFunctionalKind:
@@ -242,7 +282,7 @@ class TestInfluenceProfile:
 
     def test_asymptotic_variance_matches_population_variance(self):
         mu = evaluate(MEAN, UNIFORM9)
-        var = float(np.dot(UNIFORM9.weights, (UNIFORM9.locations - mu) ** 2))
+        var = float(np.dot(UNIFORM9.weights, (np.asarray(UNIFORM9.locations) - mu) ** 2))
         profile = influence_profile(MEAN, UNIFORM9, np.array([1.0, 5.0, 9.0]))
         assert profile.asymptotic_variance == pytest.approx(var, abs=1e-8)
 
@@ -271,6 +311,23 @@ class TestInfluenceProfile:
     def test_probes_must_be_finite(self, bad):
         with pytest.raises(InvalidInputError, match="finite"):
             influence_profile(MEAN, UNIFORM9, np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("probes", [np.ones((2, 2)), [[1.0], [2.0]], ["x"], []])
+    def test_malformed_probes_are_invalid(self, probes):
+        with pytest.raises(InvalidInputError):
+            influence_profile(MEAN, UNIFORM9, probes)
+
+    def test_growth_slope_matches_polyfit(self):
+        # the unbounded flag is a least-squares slope > 0.5 over the outer
+        # 20% of probe magnitudes; check the closed form against np.polyfit
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            mags = np.sort(rng.uniform(0.0, 100.0, int(rng.integers(2, 40))))
+            vals = rng.uniform(0.0, 1.0) * mags + rng.normal(0.0, 5.0, mags.size) ** 2
+            outer = max(2, int(np.ceil(0.2 * mags.size)))
+            slope = np.polyfit(mags[-outer:], vals[-outer:], 1)[0]
+            if abs(slope - 0.5) > 1e-9:
+                assert _grows_linearly(mags.tolist(), vals.tolist()) == (slope > 0.5)
 
 
 def oracle_profile(t, f, probes):
@@ -304,7 +361,7 @@ class TestVectorizedProfile:
     @pytest.mark.parametrize("t", KINDS, ids=IDS)
     def test_probes_equal_to_atoms(self, t):
         f = dist((-2.0, 0.2), (0.5, 0.35), (1.0, 0.05), (4.0, 0.4))
-        self.assert_matches_oracle(t, f, f.locations.copy())
+        self.assert_matches_oracle(t, f, np.asarray(f.locations))
 
     @pytest.mark.parametrize("t", KINDS, ids=IDS)
     def test_tied_locations(self, t):
