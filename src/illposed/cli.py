@@ -175,12 +175,7 @@ def _cmd_fredholm_demo(args) -> tuple[str | None, dict]:
         fredholm.solve_unregularized(problem),
         fredholm.analytic_perturbed_solution(grid, args.n_osc),
     ]
-    summary = {
-        "rhs_dev": result.rhs_dev,
-        "sol_dev": result.sol_dev,
-        "amplification": result.amplification,
-        "delta": result.delta,
-    }
+    summary = dict(vars(result))
     if args.lam is not None or args.noise is not None:
         lam, regularized = _tikhonov(args, problem.operator, rhs)
         header.append("f_regularized")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .linop import DenseOperator, _numerical_rank, svd
+from .errors import InvalidInputError, NumericalFailureError
+from .linop import DenseOperator, _numerical_rank, _vector, svd
 from .regularization import tikhonov_solve
 
 
@@ -50,15 +50,9 @@ class DiagnosisReport:
 
     def to_dict(self) -> dict:
         return {
-            "identifiable": self.identifiable,
-            "numerical_rank": self.numerical_rank,
-            "sigma_max": self.sigma_max,
-            "sigma_min": self.sigma_min,
-            "condition_number": self.condition_number,
-            "stability_constant": self.stability_constant,
+            **vars(self),
             "classification": self.classification.value,
             "spectrum": list(self.spectrum),
-            "decay_exponent": self.decay_exponent,
         }
 
 
@@ -149,25 +143,22 @@ def stability_bound_check(
     identifiable operator.  Euclidean norms throughout, taken without
     squaring.  ``rtol`` is the rank tolerance, as for :func:`diagnose`.
     """
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    if theta1.shape != (a.cols,) or theta2.shape != (a.cols,):
-        raise InvalidInputError(f"theta vectors must have shape ({a.cols},)")
-    if not np.all(np.isfinite((theta1, theta2))):
-        raise InvalidInputError("theta vectors must be finite")
+    theta1 = _vector(theta1, a.cols, "theta1")
+    theta2 = _vector(theta2, a.cols, "theta2")
     _, s, rank = _numerical_rank(a, rtol)
     if rank != a.cols:
         raise InvalidInputError("stability bound requires an identifiable operator")
-    norm2 = math.hypot(*theta2.tolist())
-    a2 = a.matrix @ theta2
-    norm_a2 = math.hypot(*a2.tolist())
-    if norm2 == 0 or norm_a2 == 0:
-        raise InvalidInputError("theta2 and A theta2 must be nonzero")
-    kappa = float(s[0] / s[rank - 1])
-    d_theta, k_theta = _difference_norm(theta1, theta2)
-    d_data, k_data = _difference_norm(a.matrix @ theta1, a2)
-    lhs = d_theta / norm2 * k_theta
-    rhs = kappa * d_data / norm_a2 * k_data
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1, a2 = a.matrix @ theta1, a.matrix @ theta2
+        if not np.all(np.isfinite((a1, a2))):
+            # the relative data change is scale-free: apply A to both thetas
+            # scaled below 1 by a power of two, which is exact
+            e = math.frexp(float(np.max(np.abs((theta1, theta2)))))[1]
+            a1, a2 = a.matrix @ np.ldexp(theta1, -e), a.matrix @ np.ldexp(theta2, -e)
+    if not np.all(np.isfinite((a1, a2))):
+        raise NumericalFailureError("A theta overflows the float range; rescale the operator")
+    lhs = _relative_change(theta1, theta2, "theta2")
+    rhs = float(s[0] / s[rank - 1]) * _relative_change(a1, a2, "A theta2")
     return StabilityBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 + 1e-10))
 
 
@@ -183,39 +174,37 @@ def perturbation_amplification(
     out-of-range component can exceed it because the pseudo-inverse
     projects that component away.
     """
-    data = np.asarray(data, dtype=float)
-    data_perturbed = np.asarray(data_perturbed, dtype=float)
-    if data.shape != (a.rows,) or data_perturbed.shape != (a.rows,):
-        raise InvalidInputError(f"data vectors must have shape ({a.rows},)")
-    f = svd(a)
-    if f.rank != a.cols:
+    data = _vector(data, a.rows, "data")
+    data_perturbed = _vector(data_perturbed, a.rows, "data_perturbed")
+    if svd(a).rank != a.cols:
         raise InvalidInputError("perturbation amplification requires an identifiable operator")
-    sol_ref = tikhonov_solve(a, data, 0.0)
-    sol_pert = tikhonov_solve(a, data_perturbed, 0.0)
-    norm_data = math.hypot(*data.tolist())
-    norm_sol = math.hypot(*sol_ref.tolist())
-    norm_diff, k_data = _difference_norm(data_perturbed, data)
-    if norm_data == 0 or norm_sol == 0 or norm_diff == 0:
-        raise InvalidInputError(
-            "need nonzero reference data, nonzero reference solution, and a "
-            "nonzero perturbation"
-        )
-    norm_sol_diff, k_sol = _difference_norm(sol_pert, sol_ref)
-    return (norm_sol_diff / norm_sol * k_sol) / (norm_diff / norm_data * k_data)
+    data_change = _relative_change(data_perturbed, data, "data")
+    if data_change == 0:
+        raise InvalidInputError("the perturbation must be nonzero")
+    solution_change = _relative_change(
+        tikhonov_solve(a, data_perturbed, 0.0), tikhonov_solve(a, data, 0.0),
+        "the reference solution",
+    )
+    return solution_change / data_change
 
 
-def _difference_norm(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """``(norm, scale)`` with ``||u - v|| = norm * scale``, taken without squaring.
+def _relative_change(u: np.ndarray, v: np.ndarray, name: str) -> float:
+    """``||u - v|| / ||v||`` for finite vectors, Euclidean norms taken without squaring.
 
-    A difference of finite vectors that overflows is taken again on the
-    halved vectors, which is exact for normal floats, and its scale is 2; a
-    caller divides the norm before it multiplies by the scale.
+    Where u - v or ||v|| overflows, both are taken again on u and v scaled
+    below 1 by one power of two, which is exact for normal floats and leaves
+    the quotient as it is.  ``name`` names v in the error raised when it is zero.
     """
     with np.errstate(over="ignore"):
         d = u - v
-    if np.all(np.isfinite(d)):
-        return math.hypot(*d.tolist()), 1.0
-    return math.hypot(*(0.5 * u - 0.5 * v).tolist()), 2.0
+    norm = math.hypot(*v.tolist())
+    if not (norm < math.inf and np.all(np.isfinite(d))):
+        e = math.frexp(float(np.max(np.abs((u, v)))))[1]
+        u, v = np.ldexp(u, -e), np.ldexp(v, -e)
+        d, norm = u - v, math.hypot(*v.tolist())
+    if norm == 0:
+        raise InvalidInputError(f"{name} must be nonzero")
+    return math.hypot(*d.tolist()) / norm
 
 
 def spectrum_decay(spectrum) -> float:

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .linop import DenseOperator, _freeze
+from .linop import DenseOperator, _freeze, _vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,14 +62,7 @@ class FredholmProblem:
         n = self.grid.n
         if n < 2:
             raise InvalidInputError(f"need n >= 2 grid points, got {n}")
-        rhs = np.asarray(self.rhs, dtype=float)
-        if rhs.shape != (n,):
-            raise InvalidInputError(f"rhs must have shape ({n},), got {rhs.shape}")
-        if not np.all(np.isfinite(rhs)):
-            raise InvalidInputError("rhs must be finite")
-        rhs = rhs.copy()
-        rhs.flags.writeable = False
-        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "rhs", _freeze(_vector(self.rhs, n, "rhs").copy()))
 
     @cached_property
     def operator(self) -> DenseOperator:
@@ -233,9 +226,7 @@ def density_constraints_check(f: np.ndarray, grid: Grid) -> DensityCheck:
     A proper conditional density has integral 1 and min >= 0; the caller
     decides how much violation to tolerate.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n,):
-        raise InvalidInputError(f"density must have shape ({grid.n},), got {f.shape}")
+    f = _vector(f, grid.n, "density")
     return DensityCheck(integral=float(grid.h * np.sum(f)), min_value=float(np.min(f)))
 
 
@@ -246,7 +237,5 @@ def regression_functional(density: np.ndarray, grid: Grid) -> float:
     that wrecks the density itself, which is the heart of the distinction
     between recovering f and recovering a smooth functional of f.
     """
-    density = np.asarray(density, dtype=float)
-    if density.shape != (grid.n,):
-        raise InvalidInputError(f"density must have shape ({grid.n},), got {density.shape}")
+    density = _vector(density, grid.n, "density")
     return float(grid.h * np.sum(grid.points * density))

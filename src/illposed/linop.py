@@ -29,6 +29,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _vector(x, n: int, name: str) -> np.ndarray:
+    """``x`` as a float array of shape ``(n,)`` with finite entries.
+
+    The one rule for data and parameter vectors; a violation raises
+    InvalidInputError naming the argument.
+    """
+    v = np.asarray(x, dtype=float)
+    if v.shape != (n,):
+        raise InvalidInputError(f"{name} must have shape ({n},), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError(f"{name} must be finite")
+    return v
+
+
 def _lapack_svd(matrix: np.ndarray, **kwargs):
     """``numpy.linalg.svd``, with LAPACK non-convergence as NumericalFailureError."""
     try:

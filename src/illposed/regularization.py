@@ -19,20 +19,11 @@ import sys
 import numpy as np
 
 from .errors import InvalidInputError, NoSolutionError, NumericalFailureError
-from .linop import DenseOperator, SvdFactors, svd
+from .linop import DenseOperator, SvdFactors, _vector, svd
 
 
 # bisection steps discrepancy_select may take on log lambda before giving up
 _MAX_BISECTIONS = 200
-
-
-def _check_data(a: DenseOperator, data) -> np.ndarray:
-    d = np.asarray(data, dtype=float)
-    if d.shape != (a.rows,):
-        raise InvalidInputError(f"data must have shape ({a.rows},), got {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise InvalidInputError("data must be finite")
-    return d
 
 
 def tikhonov_solve(a: DenseOperator, data, lam: float) -> np.ndarray:
@@ -45,14 +36,14 @@ def tikhonov_solve(a: DenseOperator, data, lam: float) -> np.ndarray:
     """
     if not 0 <= lam < math.inf:
         raise InvalidInputError(f"lambda must be >= 0 and finite, got {lam}")
-    d = _check_data(a, data)
+    d = _vector(data, a.rows, "data")
     f = svd(a)
     return _filtered_solve(f, d, f.rank, lam)
 
 
 def tsvd_solve(a: DenseOperator, data, k: int) -> np.ndarray:
     """Least-squares solve restricted to the k leading singular triplets."""
-    d = _check_data(a, data)
+    d = _vector(data, a.rows, "data")
     f = svd(a)
     if not 1 <= k <= f.rank:
         raise InvalidInputError(f"truncation level {k} outside [1, rank = {f.rank}]")
@@ -102,7 +93,7 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
         raise InvalidInputError(f"noise_level must be > 0 and finite, got {noise_level}")
     if not 1 <= tau < math.inf:
         raise InvalidInputError(f"tau must be >= 1 and finite, got {tau}")
-    d = _check_data(a, data)
+    d = _vector(data, a.rows, "data")
     f = svd(a)
     if f.rank == 0:
         raise InvalidInputError("operator has numerical rank 0; nothing to regularize")
@@ -114,6 +105,10 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
             f"the lambda bracket [1e-14 sigma_max^2, sigma_max^2] at sigma_max = "
             f"{s_max:.6g} is outside the float range; rescale the operator"
         )
+    # the residual is linear in d: measure it on d and the target scaled by
+    # 2^-e, which is exact and keeps U^T d inside the float range
+    e = math.frexp(float(np.max(np.abs(d))))[1]
+    d = np.ldexp(d, -e)
     s2 = f.singular_values**2
     beta = f.left_vectors.T @ d
     # component of d outside the retained range contributes a fixed residual
@@ -122,12 +117,16 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     def residual(lam: float) -> float:
         return math.hypot(*((lam / (s2 + lam)) * beta).tolist(), perp)
 
-    target = tau * noise_level
+    def unscaled(r: float) -> float:  # for messages: inf where 2^e r overflows
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(r, e))
+
+    target = math.ldexp(tau * noise_level, -e)
     r_lo, r_hi = residual(lo), residual(hi)
     if not r_lo <= target <= r_hi:
         raise NoSolutionError(
-            f"target residual {target:.6g} outside attainable range "
-            f"[{r_lo:.6g}, {r_hi:.6g}]"
+            f"target residual {tau * noise_level:.6g} outside attainable range "
+            f"[{unscaled(r_lo):.6g}, {unscaled(r_hi):.6g}]"
         )
     if abs(r_lo - target) <= 0.01 * target:
         return lo
@@ -143,7 +142,7 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
             log_hi = math.log(lam)
     raise NumericalFailureError(
         f"discrepancy bisection did not converge in {_MAX_BISECTIONS} steps: "
-        f"residual {r:.6g} at lambda {lam:.6g}, target {target:.6g}"
+        f"residual {unscaled(r):.6g} at lambda {lam:.6g}, target {tau * noise_level:.6g}"
     )
 
 
@@ -154,7 +153,7 @@ def restriction_sequence(a: DenseOperator, data, levels) -> list[np.ndarray]:
     leading singular vectors; the final level equal to the rank reproduces
     the unrestricted pseudo-inverse solve.
     """
-    d = _check_data(a, data)
+    d = _vector(data, a.rows, "data")
     levels = [int(k) for k in levels]
     if not levels:
         raise InvalidInputError("levels must be nonempty")

@@ -15,7 +15,7 @@ SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 def run_cli(*args, cwd=None):
     env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
     return subprocess.run(
-        [sys.executable, "-B", "-m", "illposed.cli", *args],
+        [sys.executable, "-B", "-m", "illposed", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -300,6 +300,19 @@ class TestSolve:
         assert res.stderr == ""
         x = [float(v) for v in res.stdout.splitlines()[:2]]
         assert x == pytest.approx([1e-200, 1e-199], rel=1e-15, abs=0)
+
+    def test_discrepancy_on_data_whose_projection_overflows(self, workdir):
+        # U^T d = 1.5e308 * sqrt(3) leaves the float range; the residual is
+        # linear in d, so it is measured on d scaled by a power of two
+        (workdir / "col.csv").write_text("1\n1\n-1\n")
+        (workdir / "data.csv").write_text("1.5e308\n1.5e308\n-1.5e308\n")
+        res = run_cli(
+            "solve", str(workdir / "col.csv"), str(workdir / "data.csv"), "--noise", "1e308"
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        report = json.loads("\n".join(res.stdout.splitlines()[1:]))
+        assert report["residual"] == pytest.approx(1e308, rel=0.01, abs=0)
 
     @pytest.mark.parametrize(
         "diagonal, data, noise",

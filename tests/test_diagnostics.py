@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from illposed.diagnostics import (
@@ -14,7 +14,7 @@ from illposed.diagnostics import (
     spectrum_decay,
     stability_bound_check,
 )
-from illposed.errors import InvalidInputError
+from illposed.errors import InvalidInputError, NumericalFailureError
 from illposed.fredholm import heaviside_operator
 from illposed.linop import DenseOperator, svd
 
@@ -149,8 +149,47 @@ class TestStabilityBound:
             stability_bound_check(DenseOperator(np.eye(2)), *thetas)
 
     def test_zero_theta2_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^theta2 must be nonzero$"):
             stability_bound_check(DenseOperator(np.eye(2)), np.ones(2), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.ones(3), r"must have shape \(2,\), got \(3,\)"),
+            (np.array([1.0, -math.inf]), "must be finite"),
+        ],
+        ids=["shape", "finite"],
+    )
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_vector_errors_name_the_argument(self, which, bad, message):
+        thetas = [np.array([1.0, 2.0]), np.array([2.0, 1.0])]
+        thetas[which] = bad
+        with pytest.raises(InvalidInputError, match=f"^theta{which + 1} {message}$"):
+            stability_bound_check(DenseOperator(np.eye(2)), *thetas)
+
+    def test_products_that_overflow(self):
+        # A theta1 = (2e400, 1e200) leaves the float range; both sides are
+        # ||(1e200, 0)|| / ||(1e200, 1)|| = 1
+        a = DenseOperator(np.diag([1e200, 1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = stability_bound_check(a, np.array([2e200, 1.0]), np.array([1e200, 1.0]))
+        assert (bound.lhs, bound.rhs, bound.holds) == (1.0, 1.0, True)
+
+    def test_products_outside_the_float_range_fail(self):
+        # every entry of theta1 is below 1 and A theta1 still overflows
+        a = DenseOperator([[1e308, 1e308], [1e308, -1e308]])
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            stability_bound_check(a, np.array([0.99, 0.99]), np.array([0.5, 0.25]))
+
+    def test_theta_whose_norm_overflows(self):
+        # ||theta2|| leaves the float range, which would read both sides as 0
+        t1, t2 = np.array([1.5e308, 1.5e308]), np.array([1.5e308, 1.4e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = stability_bound_check(DenseOperator(np.eye(2)), t1, t2)
+        assert bound == stability_bound_check(DenseOperator(np.eye(2)), t1 / 1024, t2 / 1024)
+        assert bound.lhs == pytest.approx(1e307 / math.hypot(1.5e307, 1.4e307) / 10, rel=1e-15)
 
     def test_non_identifiable_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -238,9 +277,44 @@ class TestPerturbationAmplification:
             amp = perturbation_amplification(DenseOperator(np.eye(2)), *data[:: -1 if swap else 1])
         assert amp == 1.0
 
+    def test_data_whose_norm_overflows(self):
+        data = [np.array([1.5e308, 1.5e308]), np.array([1.5e308, 1.4e308])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            amp = perturbation_amplification(DenseOperator(np.eye(2)), *data)
+        assert amp == 1.0
+
     def test_equal_data_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^the perturbation must be nonzero$"):
             perturbation_amplification(DenseOperator(np.eye(2)), np.ones(2), np.ones(2))
+
+    @pytest.mark.parametrize(
+        "a, data, message",
+        [
+            (np.eye(2), np.zeros(2), "^data must be nonzero$"),
+            # data orthogonal to the range: the pseudo-inverse solution is 0
+            ([[1.0], [0.0]], np.array([0.0, 1.0]), "^the reference solution must be nonzero$"),
+        ],
+        ids=["data", "solution"],
+    )
+    def test_zero_reference_rejected(self, a, data, message):
+        with pytest.raises(InvalidInputError, match=message):
+            perturbation_amplification(DenseOperator(a), data, np.ones(2))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.ones(3), r"must have shape \(2,\), got \(3,\)"),
+            (np.array([1.0, math.nan]), "must be finite"),
+        ],
+        ids=["shape", "finite"],
+    )
+    @pytest.mark.parametrize("which, name", [(0, "data"), (1, "data_perturbed")])
+    def test_vector_errors_name_the_argument(self, which, name, bad, message):
+        data = [np.array([1.0, 2.0]), np.array([2.0, 1.0])]
+        data[which] = bad
+        with pytest.raises(InvalidInputError, match=f"^{name} {message}$"):
+            perturbation_amplification(DenseOperator(np.eye(2)), *data)
 
     def test_grows_with_grid_on_integral_operator(self):
         # finer grids resolve the oscillatory perturbation better, so the
@@ -256,6 +330,33 @@ class TestPerturbationAmplification:
                 )
             )
         assert amps[0] < amps[1] < amps[2]
+
+
+SCALE_OPERATOR = random_full_rank(4, 3)
+
+
+def small_vectors(n):
+    # multiples of 1/8 keep every product and difference far from the ends
+    # of the float range at any scale 2^k with |k| <= 500
+    return st.lists(st.integers(-64, 64), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=float) / 8
+    )
+
+
+@given(
+    small_vectors(3), small_vectors(3), small_vectors(4), small_vectors(4), st.integers(-500, 500)
+)
+def test_relative_changes_are_scale_free(theta1, theta2, data, data_perturbed, k):
+    assume(np.any(theta2) and np.any(data) and np.any(data != data_perturbed))
+    a = SCALE_OPERATOR
+    base = stability_bound_check(a, theta1, theta2)
+    scaled = stability_bound_check(a, np.ldexp(theta1, k), np.ldexp(theta2, k))
+    assert scaled.lhs == pytest.approx(base.lhs, rel=1e-15, abs=0)
+    assert scaled.rhs == pytest.approx(base.rhs, rel=1e-15, abs=0)
+    amp = perturbation_amplification(a, data, data_perturbed)
+    assert perturbation_amplification(
+        a, np.ldexp(data, k), np.ldexp(data_perturbed, k)
+    ) == pytest.approx(amp, rel=1e-15, abs=0)
 
 
 class TestSpectrumDecay:

@@ -119,11 +119,11 @@ class TestSolve:
         assert np.max(np.abs(solve_unregularized(problem) - f)) < 1e-10
 
     def test_problem_validates_operator_pattern(self):
-        with pytest.raises(InvalidInputError, match="shape"):
+        with pytest.raises(InvalidInputError, match=r"^rhs must have shape \(3,\), got \(4,\)$"):
             FredholmProblem(Grid(3), np.zeros(4))
         with pytest.raises(InvalidInputError, match="n >= 2"):
             FredholmProblem(Grid(1), np.zeros(1))
-        with pytest.raises(InvalidInputError, match="finite"):
+        with pytest.raises(InvalidInputError, match="^rhs must be finite$"):
             FredholmProblem(Grid(2), np.array([0.0, np.nan]))
 
     def test_operator_is_built_on_first_read(self):
@@ -227,6 +227,21 @@ class TestRegressionFunctional:
         density = np.zeros(n)
         density[-1] = n  # unit mass concentrated at y = 1
         assert regression_functional(density, g) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("check", [density_constraints_check, regression_functional])
+class TestDensityVectorRule:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_density_rejected(self, check, bad):
+        density = np.ones(10)
+        density[3] = bad
+        with pytest.raises(InvalidInputError, match="^density must be finite$"):
+            check(density, Grid(10))
+
+    def test_wrong_shape_rejected(self, check):
+        message = r"^density must have shape \(10,\), got \(9,\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            check(np.ones(9), Grid(10))
 
 
 class TestConditioningLink:
