@@ -26,6 +26,7 @@ class Classification(str, enum.Enum):
 
 
 DEFAULT_KAPPA_THRESHOLD = 1e8
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +151,14 @@ def stability_bound_check(
         raise InvalidInputError("stability bound requires an identifiable operator")
     with np.errstate(over="ignore", invalid="ignore"):
         a1, a2 = a.matrix @ theta1, a.matrix @ theta2
-        if not np.all(np.isfinite((a1, a2))):
-            # the relative data change is scale-free: apply A to both thetas
-            # scaled below 1 by a power of two, which is exact
+        if not np.all(np.isfinite((a1, a2))) or any(
+            np.max(np.abs(p)) < _TINY and np.any(t) for p, t in ((a1, theta1), (a2, theta2))
+        ):
+            # the data change is scale-free: retake it on both thetas scaled below
+            # 1 and, if A is smaller, on A scaled up below 1, by powers of two
             e = math.frexp(float(np.max(np.abs((theta1, theta2)))))[1]
-            a1, a2 = a.matrix @ np.ldexp(theta1, -e), a.matrix @ np.ldexp(theta2, -e)
+            m = np.ldexp(a.matrix, max(0, -math.frexp(float(np.max(np.abs(a.matrix))))[1]))
+            a1, a2 = m @ np.ldexp(theta1, -e), m @ np.ldexp(theta2, -e)
     if not np.all(np.isfinite((a1, a2))):
         raise NumericalFailureError("A theta overflows the float range; rescale the operator")
     lhs = _relative_change(theta1, theta2, "theta2")

@@ -18,7 +18,6 @@ so ``read_distribution_csv``, ``fmt_float`` and ``json_flat`` run without it.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 
@@ -34,8 +33,9 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_rows(path: str, n_fields: int | None = None) -> list[list[float]]:
-    rows: list[list[float]] = []
+def _parse_columns(path: str, n_fields: int | None = None) -> list[list[float]]:
+    """The columns of a CSV, filled line by line: no list is kept per row."""
+    columns: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -47,17 +47,21 @@ def _parse_rows(path: str, n_fields: int | None = None) -> list[list[float]]:
                     f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
                 )
             try:
-                rows.append([float(v) for v in fields])
+                row = [float(v) for v in fields]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if rows and len(rows[-1]) != len(rows[0]):
+            if not columns:
+                columns = [[] for _ in row]
+            elif len(row) != len(columns):
                 raise ParseError(
-                    f"{path}:{lineno}: row has {len(rows[-1])} fields, "
-                    f"first row has {len(rows[0])}"
+                    f"{path}:{lineno}: row has {len(row)} fields, "
+                    f"first row has {len(columns)}"
                 )
-    if not rows:
+            for column, v in zip(columns, row):
+                column.append(v)
+    if not columns:
         raise ParseError(f"{path}: no data rows")
-    return rows
+    return columns
 
 
 # ASCII information separators: numpy strips them around a field, float() does not
@@ -73,7 +77,7 @@ def _has_separators(path: str) -> bool:
 
 
 def _load(path: str, n_fields: int | None = None) -> np.ndarray:
-    """The rows of a CSV as a 2-D float array, as :func:`_parse_rows` reads them."""
+    """The rows of a CSV as a 2-D float array, as :func:`_parse_columns` reads them."""
     import numpy as np
 
     try:
@@ -82,9 +86,9 @@ def _load(path: str, n_fields: int | None = None) -> np.ndarray:
             warnings.simplefilter("error", UserWarning)
             rows = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
     except (OSError, ValueError, UserWarning):
-        return np.array(_parse_rows(path, n_fields))
+        return np.column_stack(_parse_columns(path, n_fields))
     if (n_fields is not None and rows.shape[1] != n_fields) or _has_separators(path):
-        return np.array(_parse_rows(path, n_fields))
+        return np.column_stack(_parse_columns(path, n_fields))
     return rows
 
 
@@ -106,8 +110,7 @@ def read_distribution_csv(path: str) -> EmpiricalDistribution:
     """Read (location, weight) rows into an EmpiricalDistribution."""
     from .robustness import EmpiricalDistribution
 
-    rows = _parse_rows(path, n_fields=2)
-    return EmpiricalDistribution([r[0] for r in rows], [r[1] for r in rows])
+    return EmpiricalDistribution(*_parse_columns(path, n_fields=2))
 
 
 def matrix_to_csv(matrix: np.ndarray) -> str:
@@ -142,6 +145,10 @@ def _json_value(v) -> str:
     if isinstance(v, float):
         return fmt_float(v)
     if isinstance(v, str):
+        if v.isascii() and v.isprintable() and '"' not in v and "\\" not in v:
+            return f'"{v}"'  # as json.dumps writes a string that needs no escape
+        import json  # only a string with an escape pays for the import
+
         return json.dumps(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(item) for item in v) + "]"
@@ -150,5 +157,5 @@ def _json_value(v) -> str:
 
 def json_flat(d: dict) -> str:
     """Flat JSON object with keys in insertion order."""
-    body = ",\n".join(f"  {json.dumps(k)}: {_json_value(v)}" for k, v in d.items())
+    body = ",\n".join(f"  {_json_value(k)}: {_json_value(v)}" for k, v in d.items())
     return "{\n" + body + "\n}\n"

@@ -15,39 +15,37 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CompositionError, InvalidInputError
+from .records import ValueRecord
 
 
-@dataclass(frozen=True)
-class FiniteMap:
+class FiniteMap(ValueRecord):
     """Total function between finite index sets.
 
     ``table[i]`` is the image of domain element ``i``; every entry must lie
-    in ``[0, codomain_size)``.
+    in ``[0, codomain_size)``.  Maps compare and hash by their three fields.
     """
 
-    domain_size: int
-    codomain_size: int
-    table: tuple[int, ...]
+    __slots__ = ("domain_size", "codomain_size", "table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
-        if self.domain_size < 1:
-            raise InvalidInputError(f"domain_size must be >= 1, got {self.domain_size}")
-        if self.codomain_size < 1:
-            raise InvalidInputError(f"codomain_size must be >= 1, got {self.codomain_size}")
-        if len(self.table) != self.domain_size:
-            raise InvalidInputError(
-                f"table length {len(self.table)} != domain_size {self.domain_size}"
-            )
-        for v in self.table:
-            if not 0 <= v < self.codomain_size:
-                raise InvalidInputError(
-                    f"table entry {v} outside codomain [0, {self.codomain_size})"
-                )
+    def __init__(self, domain_size: int, codomain_size: int, table: tuple[int, ...]):
+        table = tuple(int(v) for v in table)
+        if domain_size < 1:
+            raise InvalidInputError(f"domain_size must be >= 1, got {domain_size}")
+        if codomain_size < 1:
+            raise InvalidInputError(f"codomain_size must be >= 1, got {codomain_size}")
+        if len(table) != domain_size:
+            raise InvalidInputError(f"table length {len(table)} != domain_size {domain_size}")
+        for v in table:
+            if not 0 <= v < codomain_size:
+                raise InvalidInputError(f"table entry {v} outside codomain [0, {codomain_size})")
+        super().__init__(domain_size, codomain_size, table)
+
+    # maps key the cache of enumerate_sections: one tuple, built directly
+    def _values(self) -> tuple:
+        return (self.domain_size, self.codomain_size, self.table)
 
     @classmethod
     def identity(cls, n: int) -> "FiniteMap":

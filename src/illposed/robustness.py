@@ -15,11 +15,11 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from operator import itemgetter, mul, ne, sub
 
 from .errors import InvalidInputError, NumericalFailureError
+from .records import Record, ValueRecord
 
 
 class Functional(str, enum.Enum):
@@ -28,21 +28,18 @@ class Functional(str, enum.Enum):
     TRIMMED_MEAN = "TRIMMED_MEAN"
 
 
-@dataclass(frozen=True)
-class FunctionalKind:
+class FunctionalKind(ValueRecord):
     """A functional of distributions; trim_fraction applies to TRIMMED_MEAN only."""
 
-    kind: Functional
-    trim_fraction: float | None = None
+    __slots__ = ("kind", "trim_fraction")
 
-    def __post_init__(self):
-        if self.kind is Functional.TRIMMED_MEAN:
-            if self.trim_fraction is None or not 0.0 <= self.trim_fraction < 0.5:
-                raise InvalidInputError(
-                    f"trim_fraction must lie in [0, 0.5), got {self.trim_fraction}"
-                )
-        elif self.trim_fraction is not None:
+    def __init__(self, kind: Functional, trim_fraction: float | None = None):
+        if kind is Functional.TRIMMED_MEAN:
+            if trim_fraction is None or not 0.0 <= trim_fraction < 0.5:
+                raise InvalidInputError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
+        elif trim_fraction is not None:
             raise InvalidInputError("trim_fraction is only valid for TRIMMED_MEAN")
+        super().__init__(kind, trim_fraction)
 
 
 MEAN = FunctionalKind(Functional.MEAN)
@@ -67,20 +64,18 @@ def _floats(values, message: str) -> tuple[float, ...]:
         raise InvalidInputError(f"{message}: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalDistribution:
+class EmpiricalDistribution(Record):
     """Weighted point masses on the real line, held as tuples sorted by location.
 
     Weights must be positive and sum to 1 within 1e-12 (by ``math.fsum``).
     Atoms at one location keep their input order.
     """
 
-    locations: tuple[float, ...]
-    weights: tuple[float, ...]
+    __slots__ = ("locations", "weights")
 
-    def __post_init__(self):
+    def __init__(self, locations, weights):
         shape = "locations and weights must be equal-length 1-D and nonempty"
-        loc, w = _floats(self.locations, shape), _floats(self.weights, shape)
+        loc, w = _floats(locations, shape), _floats(weights, shape)
         if len(loc) != len(w) or not loc:
             raise InvalidInputError(shape)
         if not all(map(math.isfinite, loc)):
@@ -91,8 +86,7 @@ class EmpiricalDistribution:
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise InvalidInputError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
         atoms = sorted(zip(loc, w), key=itemgetter(0))  # stable: ties keep their order
-        object.__setattr__(self, "locations", tuple(map(itemgetter(0), atoms)))
-        object.__setattr__(self, "weights", tuple(map(itemgetter(1), atoms)))
+        super().__init__(tuple(map(itemgetter(0), atoms)), tuple(map(itemgetter(1), atoms)))
 
     @classmethod
     def from_atoms(cls, atoms) -> "EmpiricalDistribution":
@@ -281,8 +275,7 @@ def _kept_slopes(hi: float, lo: float, alpha: float) -> tuple[float, float, floa
     )
 
 
-@dataclass(frozen=True, eq=False)
-class InfluenceProfile:
+class InfluenceProfile(Record):
     """Influence values over probe points plus the derived sensitivity summary.
 
     ``gross_error_sensitivity`` is +inf when ``unbounded_flag`` is set; the
@@ -290,11 +283,13 @@ class InfluenceProfile:
     literal supremum over the whole line.
     """
 
-    probe_points: tuple[float, ...]
-    values: tuple[float, ...]
-    gross_error_sensitivity: float
-    unbounded_flag: bool
-    asymptotic_variance: float
+    __slots__ = ("probe_points", "values", "gross_error_sensitivity", "unbounded_flag",
+                 "asymptotic_variance")
+
+    def __init__(self, probe_points: tuple[float, ...], values: tuple[float, ...],
+                 gross_error_sensitivity: float, unbounded_flag: bool, asymptotic_variance: float):
+        super().__init__(probe_points, values, gross_error_sensitivity, unbounded_flag,
+                         asymptotic_variance)
 
 
 def influence_profile(
@@ -346,13 +341,13 @@ def _grows_linearly(magnitudes, if_abs) -> bool:
     return math.fsum(d * (b - v_bar) for d, b in zip(dx, v)) / math.fsum(d * d for d in dx) > 0.5
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(ValueRecord):
     """Witness contamination that drives the mean to a requested target."""
 
-    y: float
-    achieved: float
-    distance: float
+    __slots__ = ("y", "achieved", "distance")
+
+    def __init__(self, y: float, achieved: float, distance: float):
+        super().__init__(y, achieved, distance)
 
 
 def sensitivity_attack(f: EmpiricalDistribution, eps: float, target: float) -> AttackResult:

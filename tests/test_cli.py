@@ -708,3 +708,44 @@ class TestNumpyFree:
         )
         assert_one_error_line(res, code)
         assert message in res.stderr
+
+
+# what a finite-check or influence child, and importing the CLI, must not
+# load: numpy, and the standard modules that would dominate their start-up
+# (dataclasses pulls in inspect; json is only needed for escaped strings)
+STARTUP_FREE = ("numpy", "dataclasses", "inspect", "json")
+
+
+class TestStartupImports:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [],
+            ["finite-check"],
+            ["finite-check", "--map", "4 3 : 0,1,1,2", "--param", "4 2 : 0,0,1,1"],
+            *(
+                ["influence", "dist.csv", "--functional", f, "--probes", "10:1e6:6"]
+                for f in ("mean", "median", "trimmed:0.25")
+            ),
+        ],
+        ids=["import-cli", "sweep", "map-param", "mean", "median", "trimmed"],
+    )
+    def test_loads_none_of_the_costly_modules(self, workdir, args):
+        # counts only modules a bare interpreter does not hold already, so a
+        # site hook that imports one of them cannot fail the test
+        code = (
+            "import sys\n"
+            "bare = set(sys.modules)\n"
+            "from illposed.cli import run\n"
+            "status = run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+            f"loaded = [m for m in {STARTUP_FREE!r} if m in sys.modules and m not in bare]\n"
+            "print('loaded:', *loaded, file=sys.stderr)\n"
+            "sys.exit(status)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-B", "-c", code, *args],
+            capture_output=True, text=True, cwd=workdir,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == "loaded:\n"

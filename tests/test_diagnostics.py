@@ -182,6 +182,41 @@ class TestStabilityBound:
         with pytest.raises(NumericalFailureError, match="overflows"):
             stability_bound_check(a, np.array([0.99, 0.99]), np.array([0.5, 0.25]))
 
+    def test_products_that_underflow(self):
+        # A theta2 = (1e-400, 0) underflows to 0 although theta2 is nonzero;
+        # both sides are ||(1e-200, 1e-200)|| / ||(1e-400, 0)|| = sqrt(2) * 1e200
+        a = DenseOperator(np.diag([1e-200, 1e-200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = stability_bound_check(a, np.array([1.0, 1.0]), np.array([1e-200, 0.0]))
+        expected = 1.4142135623730951e200
+        assert abs(bound.lhs - expected) <= 4 * math.ulp(expected)
+        assert abs(bound.rhs - expected) <= 4 * math.ulp(expected)
+        assert bound.holds
+
+    def test_well_scaled_inputs_take_the_plain_quotients(self):
+        # no rescale on entries of magnitude 1e-3 to 1e3: both sides are the
+        # quotients of the unscaled norms, bit for bit
+        rng = np.random.default_rng(2024)
+        checked = 0
+        while checked < 3000:
+            m, t1, t2 = (
+                rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3, 3, shape)
+                for shape in ((3, 3), 3, 3)
+            )
+            a = DenseOperator(m)
+            report = diagnose(a)
+            if not report.identifiable:
+                continue
+            checked += 1
+            a1, a2 = m @ t1, m @ t2
+            lhs = math.hypot(*(t1 - t2).tolist()) / math.hypot(*t2.tolist())
+            rhs = report.condition_number * (
+                math.hypot(*(a1 - a2).tolist()) / math.hypot(*a2.tolist())
+            )
+            bound = stability_bound_check(a, t1, t2)
+            assert (bound.lhs, bound.rhs, bound.holds) == (lhs, rhs, lhs <= rhs * (1 + 1e-10))
+
     def test_theta_whose_norm_overflows(self):
         # ||theta2|| leaves the float range, which would read both sides as 0
         t1, t2 = np.array([1.5e308, 1.5e308]), np.array([1.5e308, 1.4e308])

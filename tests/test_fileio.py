@@ -9,8 +9,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from illposed.errors import ParseError
 from illposed.fileio import (
+    _json_value,
     _load,
-    _parse_rows,
+    _parse_columns,
     fmt_float,
     json_flat,
     matrix_to_csv,
@@ -108,6 +109,10 @@ def parse_outcome(fn, path, n_fields):
     return "rows", rows.shape, rows.view(np.int64).tolist()
 
 
+def line_parser_rows(path, n_fields):
+    return np.transpose(_parse_columns(path, n_fields))
+
+
 class TestNumpyParse:
     @pytest.mark.parametrize("n_fields", [None, 1, 2])
     @pytest.mark.parametrize("text", PARSER_CASES.values(), ids=PARSER_CASES.keys())
@@ -115,7 +120,7 @@ class TestNumpyParse:
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode("utf-8"))
         assert parse_outcome(_load, str(path), n_fields) == parse_outcome(
-            _parse_rows, str(path), n_fields
+            line_parser_rows, str(path), n_fields
         )
 
     @given(
@@ -152,6 +157,21 @@ class TestNumpyParse:
             tracemalloc.stop()
         assert peak < 3 * 8 * n * n
 
+    def test_distribution_memory_peak(self, tmp_path):
+        # the line parser fills one list per column; a list per row on top
+        # of the floats took four times what the distribution holds
+        m = 10**5
+        path = tmp_path / "d.csv"
+        path.write_text("".join(f"{x!r},{1 / m!r}\n" for x in RNG.standard_normal(m).tolist()))
+        tracemalloc.start()
+        try:
+            dist = read_distribution_csv(str(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dist.locations) == m
+        assert peak <= 3 * held
+
 
 class TestJsonFlat:
     def test_parses_and_preserves_types(self):
@@ -174,6 +194,18 @@ class TestJsonFlat:
             "value": 0.1,
             "seq": [1.5, 2.5],
         }
+
+    @given(st.text())
+    def test_strings_quote_as_json_dumps(self, s):
+        assert _json_value(s) == json.dumps(s)
+        assert json.loads(json_flat({s: s})) == {s: s}
+
+    @pytest.mark.parametrize(
+        "s", ["", "plain key_1", 'a"b', "a\\b", "tab\t", "\x7f", "\u00e9", "\U0001f600"]
+    )
+    def test_strings_that_need_escapes(self, s):
+        assert _json_value(s) == json.dumps(s)
+        assert json_flat({s: s}) == f"{{\n  {json.dumps(s)}: {json.dumps(s)}\n}}\n"
 
     def test_numpy_scalars(self):
         text = json_flat({"a": np.float64(0.5), "b": np.int64(2), "c": np.bool_(True)})
