@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -375,6 +376,42 @@ class TestSolve:
         report = json.loads("\n".join(res.stdout.splitlines()[2:]))
         assert report["solution_norm"] == pytest.approx(math.hypot(*x), rel=1e-15, abs=0)
         assert report["residual"] == 0
+
+
+class TestLargeMatrix:
+    @pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+        reason="needs CPU affinity and 2 usable CPUs",
+    )
+    def test_split_parse_keeps_stdout(self, tmp_path):
+        # above two range floors the matrix is parsed on every usable CPU;
+        # pinned to one CPU the same file is parsed whole, in one process
+        from illposed.fileio import _RANGE_FLOOR, matrix_to_csv, vector_to_csv
+
+        rng = np.random.default_rng(5)
+        matrix, data = tmp_path / "m.csv", tmp_path / "d.csv"
+        matrix.write_text(matrix_to_csv(rng.standard_normal((660, 660))))
+        data.write_text(vector_to_csv(rng.standard_normal(660)))
+        assert matrix.stat().st_size >= 2 * _RANGE_FLOOR
+
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        # one BLAS thread in both runs, so that only the parse differs
+        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        solve = ["solve", str(matrix), str(data), "--method", "tsvd", "--k", "600"]
+        for args in (["analyze", str(matrix)], solve):
+            split, whole = (
+                subprocess.run(
+                    [sys.executable, "-B", "-m", "illposed", *args],
+                    capture_output=True, env=env, preexec_fn=pin,
+                )
+                for pin in (None, one_cpu)
+            )
+            assert split.returncode == whole.returncode == 0, split.stderr + whole.stderr
+            assert split.stdout == whole.stdout
+            assert split.stderr == whole.stderr == b""
 
 
 class TestFredholmDemo:

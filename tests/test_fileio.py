@@ -1,12 +1,18 @@
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from illposed import _loadtxt, fileio
 from illposed.errors import ParseError
 from illposed.fileio import (
     _json_value,
@@ -22,6 +28,11 @@ from illposed.fileio import (
 )
 
 RNG = np.random.default_rng(99)
+FINITE_MATRICES = arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, max_side=5),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 class TestFloatFormatting:
@@ -113,6 +124,14 @@ def line_parser_rows(path, n_fields):
     return np.transpose(_parse_columns(path, n_fields))
 
 
+def assert_round_trip(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("rt") / "m.csv"
+    path.write_text(matrix_to_csv(m))
+    back = read_matrix_csv(str(path)).matrix
+    assert back.shape == m.shape
+    assert np.array_equal(back.view(np.int64), m.view(np.int64))
+
+
 class TestNumpyParse:
     @pytest.mark.parametrize("n_fields", [None, 1, 2])
     @pytest.mark.parametrize("text", PARSER_CASES.values(), ids=PARSER_CASES.keys())
@@ -123,19 +142,9 @@ class TestNumpyParse:
             line_parser_rows, str(path), n_fields
         )
 
-    @given(
-        arrays(
-            np.float64,
-            array_shapes(min_dims=2, max_dims=2, max_side=5),
-            elements=st.floats(allow_nan=False, allow_infinity=False),
-        )
-    )
+    @given(FINITE_MATRICES)
     def test_round_trip_is_bit_exact(self, tmp_path_factory, m):
-        path = tmp_path_factory.mktemp("rt") / "m.csv"
-        path.write_text(matrix_to_csv(m))
-        back = read_matrix_csv(str(path)).matrix
-        assert back.shape == m.shape
-        assert np.array_equal(back.view(np.int64), m.view(np.int64))
+        assert_round_trip(tmp_path_factory, m)
 
     def test_vector_reader_rejects_two_columns(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -171,6 +180,166 @@ class TestNumpyParse:
             tracemalloc.stop()
         assert len(dist.locations) == m
         assert peak <= 3 * held
+
+
+# inputs that put an unusual line, or a change of shape, at or past a cut
+CUT_CASES = {
+    "ragged row in the last range": "1,2\n3,4\n5,6\n7\n",
+    "bad field in the last range": "1,2\n3,4\n5,6\n7,x\n",
+    "column count changes at a cut": "1,2\n3,4\n5,6,7\n8,9,10\n",
+    "blank and whitespace-only lines at a cut": "1,2\n3,4\n\n \t\n\n5,6\n7,8\n",
+    "a range of blank lines only": "1,2\n" + "\n" * 12,
+    "crlf at every cut": "1,2\r\n3,4\r\n5,6\r\n7,8\r\n",
+    "lone carriage returns": "1,2\r3,4\r5,6\r7,8\r",
+    "no trailing newline": "1,2\n3,4\n5,6\n7,8",
+    "separator only in a worker's range": "1,2\n3,4\n5,6\n7,\x1c8\n",
+    "a single line": "1,2,3,4,5,6,7,8\n",
+}
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Cut every file into up to four ranges, however small; returns the
+    pids of the workers forked."""
+    if not hasattr(os, "fork"):
+        pytest.skip("parse ranges run in forked workers")
+    monkeypatch.setattr(fileio, "_RANGE_FLOOR", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise in a wait that would block for good, instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSplitParse:
+    """Files cut into ranges parse exactly as the line-by-line parser reads them."""
+
+    @pytest.mark.parametrize("n_fields", [None, 1, 2])
+    @pytest.mark.parametrize(
+        "text", [*PARSER_CASES.values(), *CUT_CASES.values()], ids=[*PARSER_CASES, *CUT_CASES]
+    )
+    def test_agrees_with_line_parser(self, split, tmp_path, text, n_fields):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert parse_outcome(_load, str(path), n_fields) == parse_outcome(
+            line_parser_rows, str(path), n_fields
+        )
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(FINITE_MATRICES)
+    def test_round_trip_is_bit_exact(self, split, tmp_path_factory, m):
+        assert_round_trip(tmp_path_factory, m)
+
+    def test_every_range_goes_to_a_worker(self, split, tmp_path):
+        m = RNG.standard_normal((8, 3))
+        path = tmp_path / "m.csv"
+        path.write_text(matrix_to_csv(m))
+        rows = _load(str(path))
+        assert len(split) == 3
+        assert rows.flags.c_contiguous and rows.flags.owndata
+        assert np.array_equal(rows.view(np.int64), m.view(np.int64))
+
+    def test_a_single_line_is_one_range(self, split, tmp_path):
+        path = tmp_path / "row.csv"
+        path.write_text("1,2,3,4,5,6,7,8\n")
+        assert _load(str(path)).tolist() == [[1, 2, 3, 4, 5, 6, 7, 8]]
+        assert split == []
+
+    @pytest.mark.parametrize("when", ["before its rows", "after its shape"])
+    def test_failed_worker_falls_back(self, split, monkeypatch, tmp_path, when):
+        parent = os.getpid()
+        parse, write = _loadtxt.parse_range, os.write
+
+        def failing_parse(path, start, end):
+            if os.getpid() != parent and when == "before its rows":
+                raise MemoryError
+            return parse(path, start, end)
+
+        def failing_write(fd, data):
+            if os.getpid() != parent and len(data) != 16:  # past the shape header
+                os._exit(1)
+            return write(fd, data)
+
+        def no_line_parser(path, n_fields):
+            raise AssertionError("numpy's whole-file parse should have taken over")
+
+        monkeypatch.setattr(_loadtxt, "parse_range", failing_parse)
+        monkeypatch.setattr(os, "write", failing_write)
+        monkeypatch.setattr(fileio, "_parse_columns", no_line_parser)
+        m = RNG.standard_normal((8, 3))
+        path = tmp_path / "m.csv"
+        path.write_text(matrix_to_csv(m))
+        rows = _load(str(path))
+        assert len(split) == 3
+        assert np.array_equal(rows.view(np.int64), m.view(np.int64))
+
+    def test_interrupt_reaps_blocked_workers(self, split, monkeypatch, tmp_path):
+        # each worker's rows overflow a pipe, so it is still writing when the
+        # parent stops reading after the first shape header
+        path = tmp_path / "v.csv"
+        path.write_text(vector_to_csv(RNG.standard_normal(80_000)))
+        readv = os.readv
+        reads = []
+
+        def interrupted_readv(fd, buffers):
+            reads.append(fd)
+            if len(reads) > 1:
+                raise KeyboardInterrupt
+            return readv(fd, buffers)
+
+        monkeypatch.setattr(os, "readv", interrupted_readv)
+        with deadline(60), pytest.raises(KeyboardInterrupt):
+            _load(str(path))
+        assert len(split) == 3
+
+    def test_workers_peak_below_the_reader(self, tmp_path):
+        # a worker's max RSS folds into the max RSS that wait4 reports for
+        # the process that read the file, so a worker must not set it
+        if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2 or not hasattr(os, "fork"):
+            pytest.skip("needs fork and 2 usable CPUs")
+        row = ",".join(["0.12345678901234567"] * 500) + "\n"
+        path = tmp_path / "m.csv"
+        path.write_text(row * (2 * fileio._RANGE_FLOOR // len(row) + 1))
+        code = (
+            "import resource, sys\n"
+            "from illposed.fileio import read_matrix_csv\n"
+            "read_matrix_csv(sys.argv[1])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+            " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        res = subprocess.run(
+            [sys.executable, "-B", "-c", code, str(path)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+            check=True,
+        )
+        reader, workers = map(int, res.stdout.split())
+        assert 0 < workers <= reader
 
 
 class TestJsonFlat:
