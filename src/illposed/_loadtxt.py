@@ -3,13 +3,11 @@
 :func:`illposed.fileio._load` imports this module only for a file it splits.
 The file is cut at line starts.  Forked workers parse all ranges but the
 first, which this process parses meanwhile, and send their rows back through
-pipes.  Each range reader checks the bytes it reads for the ASCII information
-separators, so a split file is read once.
+pipes.
 
 Python 3.12 and later warn about ``os.fork`` in a process with threads, and
 numpy's BLAS starts threads.  A worker runs no BLAS, so that warning is
-silenced around the fork (no test covers that filter yet: it needs Python
-3.12).
+silenced around the fork.
 """
 
 from __future__ import annotations
@@ -21,11 +19,9 @@ import warnings
 
 import numpy as np
 
-from .fileio import _SEPARATORS
-
 
 class Range(io.RawIOBase):
-    """The next ``size`` bytes of an unbuffered file; a separator in them raises."""
+    """The next ``size`` bytes of an unbuffered file."""
 
     def __init__(self, raw, size: int):
         self.raw, self.left = raw, size
@@ -35,8 +31,6 @@ class Range(io.RawIOBase):
 
     def readinto(self, buf) -> int:
         data = self.raw.read(min(len(buf), self.left))
-        if any(sep in data for sep in _SEPARATORS):
-            raise ValueError("information separator")
         buf[: len(data)] = data
         self.left -= len(data)
         return len(data)
@@ -82,9 +76,8 @@ def load_split(path: str, k: int) -> np.ndarray | None:
     other one and sends back its shape and its raw float64 rows through a
     pipe.  The first range's array grows to hold them all, so the result is
     one C-contiguous array that owns its data.  A file that cuts into one
-    range, a range that numpy rejects or that holds a separator, a worker
-    that ends before its rows are complete, or ranges that disagree on the
-    column count give None.
+    range, a range that numpy rejects, a worker that ends before its rows
+    are complete, or ranges that disagree on the column count give None.
     """
     offsets = cuts(path, k)
     workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)

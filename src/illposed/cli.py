@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 malformed input, violated precondition or an
 input too large to allocate, 3 numerical failure.  All output is
-deterministic; floats carry 17 significant digits.  An option the chosen
-mode never reads is an error (exit 2), not silently dropped.
+deterministic at a fixed BLAS thread count; floats carry 17 significant
+digits.  An option the chosen mode never reads is an error (exit 2), not
+silently dropped.
 
 Each handler returns ``(table, report)``: the CSV text or None, and the
 JSON dict.  Only :func:`run` writes them.  The table goes to ``--out`` or

@@ -1,14 +1,15 @@
 """CSV and JSON serialization with byte-stable formatting.
 
 All floats are written with 17 significant digits so values round-trip
-exactly and identical invocations produce identical bytes.
+exactly, and identical invocations at a fixed BLAS thread count produce
+identical bytes.
 
 Matrices and vectors are parsed by ``numpy.loadtxt``, which converts each
-field with the same correctly rounded conversion as Python's ``float``.
-Where numpy rejects a file, the reader needs another column count, or the
-file holds a character numpy would strip from a field and ``float`` would
-not, the file is parsed again line by line in Python.  That parser alone
-reads distributions; it accepts exactly the inputs the readers have always
+field with the same correctly rounded conversion as Python's ``float``
+and strips the same Unicode whitespace around it as ``str.strip``.  Where
+numpy rejects a file or the reader needs another column count, the file
+is parsed again line by line in Python.  That parser alone reads
+distributions; it accepts exactly the inputs the readers have always
 accepted (blank lines, underscores in numbers) and reports errors as
 ``path:lineno: message``.
 
@@ -17,9 +18,8 @@ more is parsed on every usable CPU (``os.sched_getaffinity``), in byte
 ranges cut at line starts (see ``illposed._loadtxt``).  Smaller files, and
 every file where ``os.fork`` is missing, one CPU is usable or a split parse
 meets anything unusual, are parsed whole from the path, which numpy reads
-faster than a range reader that feeds it line by line, and are then scanned
-once for separators.  So the split never changes a value, an error message
-or a line number.
+faster than a range reader that feeds it line by line.  So the split never
+changes a value, an error message or a line number.
 
 The module imports numpy only inside the readers and writers that use it,
 so ``read_distribution_csv``, ``fmt_float`` and ``json_flat`` run without it.
@@ -57,7 +57,8 @@ def _parse_columns(path: str, n_fields: int | None = None) -> list[list[float]]:
                     f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
                 )
             try:
-                row = [float(v) for v in fields]
+                # float() keeps U+001C-U+001F that numpy strips; str.strip drops them
+                row = [float(v.strip()) for v in fields]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             if not columns:
@@ -74,23 +75,12 @@ def _parse_columns(path: str, n_fields: int | None = None) -> list[list[float]]:
     return columns
 
 
-# ASCII information separators: numpy strips them around a field, float() does not
-_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
 # Least bytes in one parse range, so a file is split only from two floors
 # up.  Parse alone in a fresh process, 2 CPUs, 10 alternating pairs: the
 # split lost on a 0.45 MB matrix and won from 0.8 MB on 17-digit matrices,
 # but a one-field-a-line vector, the shape that costs the range reader most,
 # won 7 of 10 pairs at 2 MB and 9 or 10 of 10 from 8 MB up.
 _RANGE_FLOOR = 4 << 20
-
-
-def _has_separators(path: str) -> bool:
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            if any(sep in chunk for sep in _SEPARATORS):
-                return True
-    return False
 
 
 def _ranges(path: str) -> int:
@@ -118,8 +108,6 @@ def _load(path: str, n_fields: int | None = None) -> np.ndarray:
                 rows = load_split(path, k)
             if rows is None:
                 rows = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
-                if _has_separators(path):
-                    rows = None
     except (OSError, ValueError, UserWarning):
         rows = None
     if rows is None or (n_fields is not None and rows.shape[1] != n_fields):

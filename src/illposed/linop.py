@@ -77,6 +77,8 @@ class DenseOperator:
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "DenseOperator":
         """Build from a flat row-major sequence of length rows*cols."""
+        if rows < 1 or cols < 1:
+            raise InvalidInputError(f"operator sizes must be positive, got {rows}x{cols}")
         flat = np.asarray(entries, dtype=float).ravel()
         if flat.size != rows * cols:
             raise InvalidInputError(

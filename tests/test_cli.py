@@ -786,3 +786,35 @@ class TestStartupImports:
         )
         assert res.returncode == 0, res.stderr
         assert res.stderr == "loaded:\n"
+
+    @pytest.mark.parametrize("above", [False, True], ids=["below-floor", "above-floor"])
+    @pytest.mark.parametrize("command", ["analyze", "solve"])
+    def test_loads_the_split_reader_only_above_the_floor(self, tmp_path, command, above):
+        # importing illposed._loadtxt adds about 0.2 MB to a solve's peak RSS,
+        # so a file parsed whole must not pay for it
+        from illposed.fileio import _RANGE_FLOOR
+
+        if above and (
+            not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
+        ):
+            pytest.skip("needs fork and 2 usable CPUs")
+        row = ",".join(["0.12345678901234567"] * 1000) + "\n"
+        rows = 2 * _RANGE_FLOOR // len(row) + (1 if above else -1)
+        matrix, data = tmp_path / "m.csv", tmp_path / "d.csv"
+        matrix.write_text(row * rows)
+        data.write_text("1\n" * rows)
+        assert (matrix.stat().st_size >= 2 * _RANGE_FLOOR) == above
+        args = [command, str(matrix)] + ([str(data)] if command == "solve" else [])
+        code = (
+            "import sys\n"
+            "from illposed.cli import run\n"
+            "status = run(sys.argv[1:])\n"
+            "print('loaded:', 'illposed._loadtxt' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(status)\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-B", "-c", code, *args],
+            capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == f"loaded: {above}\n"

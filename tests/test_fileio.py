@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from illposed.fileio import (
 )
 
 RNG = np.random.default_rng(99)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 FINITE_MATRICES = arrays(
     np.float64,
     array_shapes(min_dims=2, max_dims=2, max_side=5),
@@ -84,6 +86,17 @@ class TestCsv:
         dist = read_distribution_csv(str(path))
         assert dist.atoms == ((1.0, 0.25), (3.0, 0.75))
 
+    def test_information_separators_are_whitespace(self, tmp_path):
+        # numpy strips U+001C-U+001F around a field, and so does the line parser
+        path = tmp_path / "sep.csv"
+        path.write_text("1,\x1c2\n")
+        assert read_matrix_csv(str(path)).matrix.tolist() == [[1.0, 2.0]]
+        res = subprocess.run(
+            [sys.executable, "-B", "-m", "illposed", "analyze", str(path)],
+            capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert res.returncode == 0, res.stderr
+
 
 # inputs on which numpy and the line-by-line parser may disagree; the
 # readers must behave exactly as the line-by-line parser does on each
@@ -105,6 +118,10 @@ PARSER_CASES = {
     "hex": "0x10,1\n",
     "information separator inside a line": "1,\x1c2\n",
     "information separator at the line end": "1,2\x1c\n",
+    "information separator between two digits": "1\x1c2,3\n",
+    "line of information separators only": "1,2\n\x1c\x1d\x1e\x1f\n3,4\n",
+    "vertical tab and form feed around a field": "\x0b1\x0c,\x0c2\x0b\n",
+    "unicode spaces around a field": "\u00a01\u2003,\u30002\u00a0\n",
     "non-ascii digit": "\u0661,2\n",
     "one column": "1\n2\n",
     "empty": "",
@@ -267,6 +284,29 @@ class TestSplitParse:
         path.write_text("1,2,3,4,5,6,7,8\n")
         assert _load(str(path)).tolist() == [[1, 2, 3, 4, 5, 6, 7, 8]]
         assert split == []
+
+    def test_fork_warning_is_silenced(self, split, monkeypatch, tmp_path):
+        # Python 3.12 and later warn on every fork in a process with threads
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                "may lead to deadlocks in the child.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        m = RNG.standard_normal((8, 3))
+        path = tmp_path / "m.csv"
+        path.write_text(matrix_to_csv(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _load(str(path))
+        assert len(split) == 3
+        assert np.array_equal(rows.view(np.int64), m.view(np.int64))
 
     @pytest.mark.parametrize("when", ["before its rows", "after its shape"])
     def test_failed_worker_falls_back(self, split, monkeypatch, tmp_path, when):

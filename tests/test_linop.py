@@ -47,9 +47,14 @@ class TestDenseOperator:
         assert a.matrix[1, 0] == 4.0
         assert list(a.entries) == [1, 2, 3, 4, 5, 6]
 
-    def test_from_entries_length_check(self):
+    @pytest.mark.parametrize(
+        "rows, cols, entries",
+        [(2, 2, [1, 2, 3]), (-1, -1, [1.0]), (-2, -3, [0.0] * 6)],
+        ids=["short", "negative sizes of product 1", "negative sizes of product 6"],
+    )
+    def test_from_entries_length_check(self, rows, cols, entries):
         with pytest.raises(InvalidInputError):
-            DenseOperator.from_entries(2, 2, [1, 2, 3])
+            DenseOperator.from_entries(rows, cols, entries)
 
     def test_immutable(self):
         a = DenseOperator(np.eye(2))
