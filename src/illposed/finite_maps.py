@@ -229,25 +229,16 @@ def restricted_growth_strings(n: int):
     lies in block ``a[i]``, and blocks are numbered in order of their
     smallest element, so each partition has exactly one string (Knuth,
     TAOCP 4A, 7.2.1.5).  Strings come in lexicographic order; there are
-    Bell(n) of them.  Read as a table, a string with k blocks is the
+    Bell(n) of them, all held in memory at once: each string of length i + 1
+    extends one of length i.  Read as a table, a string with k blocks is the
     canonical map ``n -> k`` with that kernel, and it is onto its codomain.
     """
     if n < 1:
         raise InvalidInputError(f"need n >= 1 elements, got {n}")
-    a = [0] * n
-    bound = [1] * n  # bound[i] = 1 + max(a[:i]), the largest block a[i] may open
-    while True:
-        yield tuple(a)
-        j = n - 1
-        while j > 0 and a[j] == bound[j]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        nxt = max(bound[j], a[j] + 1)
-        for i in range(j + 1, n):
-            a[i] = 0
-            bound[i] = nxt
+    strings = [(0,)]
+    for _ in range(n - 1):
+        strings = [a + (b,) for a in strings for b in range(max(a) + 2)]
+    yield from strings
 
 
 def _kernel_classes(domain_size: int, max_codomain: int):

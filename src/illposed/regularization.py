@@ -7,23 +7,20 @@ solved stably on a larger subspace; Tikhonov is the smooth version of the
 same idea.
 
 Every solve divides U^T d by sigma + lambda/sigma, which squares nothing,
-and is redone on rescaled data when an intermediate overflows, so the one
+on data scaled by a power of two so that U^T d stays in range; the one
 float-range failure left is a solution that itself overflows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 import numpy as np
 
 from .errors import InvalidInputError, NoSolutionError, NumericalFailureError
 from .linop import DenseOperator, SvdFactors, _vector, svd
-
-
-# bisection steps discrepancy_select may take on log lambda before giving up
-_MAX_BISECTIONS = 200
 
 
 def tikhonov_solve(a: DenseOperator, data, lam: float) -> np.ndarray:
@@ -44,22 +41,26 @@ def tikhonov_solve(a: DenseOperator, data, lam: float) -> np.ndarray:
 def tsvd_solve(a: DenseOperator, data, k: int) -> np.ndarray:
     """Least-squares solve restricted to the k leading singular triplets."""
     d = _vector(data, a.rows, "data")
+    k = _level(k)
     f = svd(a)
     if not 1 <= k <= f.rank:
         raise InvalidInputError(f"truncation level {k} outside [1, rank = {f.rank}]")
     return _filtered_solve(f, d, k)
 
 
+def _level(k) -> int:
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise InvalidInputError(f"truncation level must be an integer, got {k!r}") from None
+
+
 def _filtered_solve(f: SvdFactors, d: np.ndarray, k: int, lam: float = 0.0) -> np.ndarray:
-    # retained sigma are > 0; lam/sigma may overflow to inf, which filters to 0
+    # retained sigma are > 0; lam/sigma may overflow to inf, which filters to 0.
+    # Solving on d scaled by 2^-e is exact and keeps U^T d in the float range
     s, u, v = f.singular_values[:k], f.left_vectors[:, :k], f.right_vectors[:, :k]
+    e = math.frexp(float(np.max(np.abs(d))))[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        x = v @ ((u.T @ d) / (s + lam / s))
-        if np.all(np.isfinite(x)):
-            return x
-        # an intermediate such as U^T d can overflow where x does not:
-        # redo the solve on d scaled by a power of two, which is exact
-        e = math.frexp(float(np.max(np.abs(d))))[1]
         x = np.ldexp(v @ ((u.T @ np.ldexp(d, -e)) / (s + lam / s)), e)
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError(
@@ -80,14 +81,17 @@ def filter_factors(factors: SvdFactors, lam: float) -> np.ndarray:
 def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 1.0) -> float:
     """Pick lambda so the Tikhonov residual matches the noise level.
 
-    Finds lam with ``||A x_lam - d|| = tau * noise_level`` (Euclidean norm,
-    1% relative tolerance) by bisection on log lam over
+    Solves ``||A x_lam - d|| = tau * noise_level`` (Euclidean norm) by
+    bisection on lam, at the geometric mean of the bracket, over
     [1e-14 sigma_max^2, sigma_max^2].  The residual norm is monotone
     nondecreasing in lam, so the bracket is valid; targets outside the
-    attainable residual range raise NoSolutionError.  Residual norms square
-    nothing, so the data may have any finite size.  A bracket outside the
-    normal float range (sigma_max outside about [1.5e-147, 1.3e154]) and a
-    bisection that misses the tolerance raise NumericalFailureError.
+    attainable residual range raise NoSolutionError.  With no step cap, it
+    stops when the mean no longer lies strictly inside the bracket, after
+    about 60 residual evaluations, and returns the smallest lam of that final
+    bracket, a few ulp wide, whose residual reaches the target.  Residual
+    norms square nothing, so the data may have any finite size.  Only a
+    bracket outside the normal float range (sigma_max outside about
+    [1.5e-147, 1.3e154]) raises NumericalFailureError.
     """
     if not 0 < noise_level < math.inf:
         raise InvalidInputError(f"noise_level must be > 0 and finite, got {noise_level}")
@@ -128,22 +132,14 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
             f"target residual {tau * noise_level:.6g} outside attainable range "
             f"[{unscaled(r_lo):.6g}, {unscaled(r_hi):.6g}]"
         )
-    if abs(r_lo - target) <= 0.01 * target:
-        return lo
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    for _ in range(_MAX_BISECTIONS):
-        lam = math.exp(0.5 * (log_lo + log_hi))
-        r = residual(lam)
-        if abs(r - target) <= 0.01 * target:
-            return lam
-        if r < target:
-            log_lo = math.log(lam)
+    # residual(lo) <= target <= residual(hi) throughout; sqrt(lo) * sqrt(hi)
+    # cannot underflow as lo * hi can, and the bracket holds finitely many floats
+    while lo < (lam := math.sqrt(lo) * math.sqrt(hi)) < hi:
+        if residual(lam) < target:
+            lo = lam
         else:
-            log_hi = math.log(lam)
-    raise NumericalFailureError(
-        f"discrepancy bisection did not converge in {_MAX_BISECTIONS} steps: "
-        f"residual {unscaled(r):.6g} at lambda {lam:.6g}, target {tau * noise_level:.6g}"
-    )
+            hi = lam
+    return hi
 
 
 def restriction_sequence(a: DenseOperator, data, levels) -> list[np.ndarray]:
@@ -154,7 +150,7 @@ def restriction_sequence(a: DenseOperator, data, levels) -> list[np.ndarray]:
     the unrestricted pseudo-inverse solve.
     """
     d = _vector(data, a.rows, "data")
-    levels = [int(k) for k in levels]
+    levels = [_level(k) for k in levels]
     if not levels:
         raise InvalidInputError("levels must be nonempty")
     if any(nxt <= cur for cur, nxt in zip(levels, levels[1:])):

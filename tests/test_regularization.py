@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from illposed import regularization
 from illposed.errors import InvalidInputError, NoSolutionError, NumericalFailureError
 from illposed.fredholm import ramp_problem, solve_unregularized
 from illposed.linop import DenseOperator, SvdFactors, pseudoinverse, svd
@@ -121,6 +120,8 @@ class TestTsvd:
             tsvd_solve(a, np.zeros(3), 0)
         with pytest.raises(InvalidInputError):
             tsvd_solve(a, np.zeros(3), 4)
+        with pytest.raises(InvalidInputError, match="got 1.5"):
+            tsvd_solve(a, np.zeros(3), 1.5)
 
     def test_equals_hard_filtered_tikhonov_limits(self):
         # TSVD keeps phi = 1 on retained triplets and phi = 0 beyond, the
@@ -188,14 +189,20 @@ class TestDiscrepancy:
         with pytest.raises(NoSolutionError, match="attainable"):
             discrepancy_select(a, d, noise_level=10.0)
 
-    def test_unconverged_bisection_raises(self, monkeypatch):
-        # residual 1e-3 at the first midpoint lambda = 1e-7, far from 0.5
-        a = DenseOperator(np.diag([1.0, 0.1, 0.01]))
-        d = np.ones(3)
-        assert discrepancy_select(a, d, noise_level=0.5) > 0
-        monkeypatch.setattr(regularization, "_MAX_BISECTIONS", 1)
-        with pytest.raises(NumericalFailureError, match="did not converge"):
-            discrepancy_select(a, d, noise_level=0.5)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.9))
+    def test_residual_is_the_root_to_rounding(self, seed, fraction):
+        # tall A0 + 4I leaves a residual floor ||d_perp|| > 0; the target lies
+        # the given fraction of the way from it to the residual at sigma_max^2
+        rng = np.random.default_rng(seed)
+        a = DenseOperator(rng.standard_normal((6, 4)) + 4 * np.eye(6, 4))
+        d = rng.standard_normal(6)
+
+        def residual(lam):
+            return np.linalg.norm(a.matrix @ tikhonov_solve(a, d, lam) - d)
+
+        floor, top = residual(0.0), residual(svd(a).singular_values[0] ** 2)
+        target = floor + fraction * (top - floor)
+        assert residual(discrepancy_select(a, d, target)) == pytest.approx(target, rel=1e-12)
 
     def test_validation(self):
         a = DenseOperator(np.eye(2))
@@ -245,6 +252,10 @@ class TestRestrictionSequence:
             restriction_sequence(a, np.ones(3), [1, 4])
         with pytest.raises(InvalidInputError):
             restriction_sequence(a, np.ones(3), [])
+        with pytest.raises(InvalidInputError, match="got 1.5"):
+            restriction_sequence(a, np.ones(3), [1.5, 2.7])
+        with pytest.raises(InvalidInputError, match="got '1'"):
+            restriction_sequence(a, np.ones(3), ["1", "3"])
 
 
 class TestFloatRange:
