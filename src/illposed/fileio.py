@@ -46,7 +46,8 @@ def fmt_float(x: float) -> str:
 def _parse_columns(path: str, n_fields: int | None = None) -> list[list[float]]:
     """The columns of a CSV, filled line by line: no list is kept per row."""
     columns: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 becomes a lone surrogate, which float() rejects
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from functools import lru_cache
 
 from .errors import CompositionError, InvalidInputError
@@ -50,9 +51,6 @@ class FiniteMap(ValueRecord):
     @classmethod
     def identity(cls, n: int) -> "FiniteMap":
         return cls(n, n, tuple(range(n)))
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
 
     def after(self, inner: "FiniteMap") -> "FiniteMap":
         """Composite ``self o inner`` (apply ``inner`` first)."""
@@ -109,7 +107,8 @@ def construct_inner_inverse(p: FiniteMap) -> FiniteMap:
     outside the range of P get domain index 0.  The choice is arbitrary in
     principle, so the smallest index is fixed for determinism.
     """
-    table = [0] * p.codomain_size
+    # no list holds more than sys.maxsize entries: past it, MemoryError as below it
+    table = [0] * min(p.codomain_size, sys.maxsize)
     for i in range(p.domain_size - 1, -1, -1):
         table[p.table[i]] = i
     return FiniteMap(p.codomain_size, p.domain_size, tuple(table))

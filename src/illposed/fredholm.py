@@ -50,13 +50,10 @@ class FredholmProblem:
 
     ``operator`` is :func:`heaviside_operator` of the grid size, built on
     first read and cached; the unregularized solve never reads it.
-    ``delta`` records the perturbation scale when the right-hand side was
-    built by :func:`ramp_rhs` with an oscillation, None otherwise.
     """
 
     grid: Grid
     rhs: np.ndarray
-    delta: float | None = None
 
     def __post_init__(self):
         n = self.grid.n
@@ -162,8 +159,7 @@ def ramp_problem(n: int, n_osc: int | None = None) -> FredholmProblem:
     O(n): the operator is built only when something reads ``operator``.
     """
     grid = Grid(n)
-    delta = oscillation_delta(n_osc) if n_osc is not None else None
-    return FredholmProblem(grid=grid, rhs=ramp_rhs(grid, n_osc), delta=delta)
+    return FredholmProblem(grid=grid, rhs=ramp_rhs(grid, n_osc))
 
 
 def solve_unregularized(problem: FredholmProblem) -> np.ndarray:

@@ -74,18 +74,6 @@ class DenseOperator:
             a = a.copy()
         object.__setattr__(self, "matrix", _freeze(a))
 
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "DenseOperator":
-        """Build from a flat row-major sequence of length rows*cols."""
-        if rows < 1 or cols < 1:
-            raise InvalidInputError(f"operator sizes must be positive, got {rows}x{cols}")
-        flat = np.asarray(entries, dtype=float).ravel()
-        if flat.size != rows * cols:
-            raise InvalidInputError(
-                f"need {rows * cols} entries for a {rows}x{cols} operator, got {flat.size}"
-            )
-        return cls(flat.reshape(rows, cols))
-
     @property
     def rows(self) -> int:
         return self.matrix.shape[0]
@@ -93,11 +81,6 @@ class DenseOperator:
     @property
     def cols(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Row-major flat view of the entries."""
-        return self.matrix.ravel()
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -151,11 +134,6 @@ class SvdFactors:
     @property
     def rank(self) -> int:
         return self.singular_values.size
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Full singular value sequence: retained followed by discarded."""
-        return np.concatenate([self.singular_values, self.discarded])
 
 
 def default_rtol(a: DenseOperator) -> float:
@@ -214,8 +192,6 @@ def pseudoinverse(a: DenseOperator, rtol: float | None = None) -> DenseOperator:
     from the SVD so the condition number is not squared.
     """
     f = svd(a, rtol)
-    if f.rank == 0:
-        return DenseOperator(np.zeros((a.cols, a.rows)))
     return DenseOperator((f.right_vectors / f.singular_values) @ f.left_vectors.T)
 
 

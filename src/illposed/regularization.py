@@ -121,16 +121,16 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     def residual(lam: float) -> float:
         return math.hypot(*((lam / (s2 + lam)) * beta).tolist(), perp)
 
-    def unscaled(r: float) -> float:  # for messages: inf where 2^e r overflows
+    def ldexp(r: float, k: int) -> float:  # inf, not OverflowError, where 2^k r overflows
         with np.errstate(over="ignore"):
-            return float(np.ldexp(r, e))
+            return float(np.ldexp(r, k))
 
-    target = math.ldexp(tau * noise_level, -e)
+    target = ldexp(tau * noise_level, -e)  # past the float range, unattainable
     r_lo, r_hi = residual(lo), residual(hi)
     if not r_lo <= target <= r_hi:
         raise NoSolutionError(
             f"target residual {tau * noise_level:.6g} outside attainable range "
-            f"[{unscaled(r_lo):.6g}, {unscaled(r_hi):.6g}]"
+            f"[{ldexp(r_lo, e):.6g}, {ldexp(r_hi, e):.6g}]"
         )
     # residual(lo) <= target <= residual(hi) throughout; sqrt(lo) * sqrt(hi)
     # cannot underflow as lo * hi can, and the bracket holds finitely many floats

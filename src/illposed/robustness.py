@@ -4,8 +4,8 @@ The influence function is the exact one-sided derivative of the functional
 at eps -> 0+ along the contamination (1 - eps) F + eps * (point mass at y).
 Along that path the mean is linear, the trimmed mean piecewise linear and
 the median piecewise constant, so the derivative has a closed form.  A
-median that jumps at eps -> 0+ has none, and it is the one case that raises
-NumericalFailureError.  The growth of the influence across probe locations
+median that jumps at eps -> 0+ has none; it raises NumericalFailureError,
+as does a functional past the float range.  The growth of the influence across probe locations
 separates functionals that any data perturbation can hijack (the mean) from
 those that saturate (median, trimmed mean).
 """
@@ -105,18 +105,22 @@ def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
     the cumulative weight reaches 0.5 (generalized-inverse convention,
     which makes the median single-valued).  TRIMMED_MEAN removes
     trim_fraction of mass from each tail, splitting atoms proportionally,
-    and averages what remains.
+    and averages what remains.  A value past the float range, which weights
+    summing above 1 within the tolerance allow, raises NumericalFailureError.
     """
     if t.kind is Functional.MEDIAN:
         return f.locations[_median_index(list(accumulate(f.weights)))]
     alpha = t.trim_fraction
-    if not alpha:  # the mean, or a trimmed mean that trims nothing
-        return math.fsum(map(mul, f.weights, f.locations))
-    kept = (
-        max(min(hi, 1.0 - alpha) - max(hi - w, alpha), 0.0)
-        for hi, w in zip(accumulate(f.weights), f.weights)
-    )
-    return math.fsum(map(mul, kept, f.locations)) / (1.0 - 2.0 * alpha)
+    try:
+        if not alpha:  # the mean, or a trimmed mean that trims nothing
+            return math.fsum(map(mul, f.weights, f.locations))
+        kept = (
+            max(min(hi, 1.0 - alpha) - max(hi - w, alpha), 0.0)
+            for hi, w in zip(accumulate(f.weights), f.weights)
+        )
+        return math.fsum(map(mul, kept, f.locations)) / (1.0 - 2.0 * alpha)
+    except OverflowError:
+        raise NumericalFailureError("the functional overflows the float range") from None
 
 
 def _median_index(cum: list[float]) -> int:

@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from illposed.cli import _parse_probes
+from illposed.cli import _parse_probes, run
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -90,6 +92,21 @@ class TestAnalyze:
         res = run_cli("analyze", str(workdir / "bad.csv"))
         assert res.returncode == 2
         assert "bad.csv:2" in res.stderr
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["analyze"], b"1,2\n3,\xff4\n"),
+            (["solve", "identity.csv"], b"1\n\xff1\n"),
+            (["influence", "--probes", "1:2:3"], b"1,0.5\n2,0.5\xff\n"),
+        ],
+        ids=["matrix", "vector", "distribution"],
+    )
+    def test_non_utf8_file_exit_2(self, workdir, args, text):
+        (workdir / "latin.csv").write_bytes(text)
+        res = run_cli(*args, "latin.csv", cwd=workdir)
+        assert_one_error_line(res, 2)
+        assert "latin.csv:2: could not convert string to float" in res.stderr
 
     def test_missing_file_exit_2(self, workdir):
         res = run_cli("analyze", str(workdir / "nope.csv"))
@@ -254,8 +271,7 @@ class TestSolve:
         assert res.returncode == 0
         report = json.loads("\n".join(res.stdout.splitlines()[2:]))
         assert report["method"] == "tikhonov"
-        # the discrepancy principle hits tau * noise within its 1% tolerance
-        assert report["residual"] == pytest.approx(0.15, rel=0.01)
+        assert report["residual"] == pytest.approx(0.15, rel=1e-12)
 
     def test_unattainable_noise_exit_2(self, workdir):
         res = run_cli(
@@ -264,6 +280,15 @@ class TestSolve:
         )
         assert res.returncode == 2
         assert "attainable" in res.stderr
+
+    def test_noise_whose_scaled_target_overflows_exit_2(self, workdir):
+        # the residual is measured on d scaled by 2^1062, where the target 1 overflows
+        (workdir / "tiny.csv").write_text("1e-320\n1e-320\n")
+        res = run_cli(
+            "solve", str(workdir / "identity.csv"), str(workdir / "tiny.csv"), "--noise", "1"
+        )
+        assert_one_error_line(res, 2)
+        assert "target residual 1 outside attainable range [0, 7.07008e-321]" in res.stderr
 
     @pytest.mark.parametrize(
         "diagonal, flags, message",
@@ -313,7 +338,7 @@ class TestSolve:
         assert res.returncode == 0, res.stderr
         assert res.stderr == ""
         report = json.loads("\n".join(res.stdout.splitlines()[1:]))
-        assert report["residual"] == pytest.approx(1e308, rel=0.01, abs=0)
+        assert report["residual"] == pytest.approx(1e308, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "diagonal, data, noise",
@@ -543,6 +568,15 @@ class TestInfluence:
                 tol += want * math.log(10) * 4 * exponent_ulp
             assert np.all(np.abs(probes - want) <= tol), (lo, hi, count)
 
+    def test_mean_past_the_float_range_exit_3(self, tmp_path):
+        # weights sum to 1 + 9e-13, inside the tolerance, so the mean overflows
+        path = tmp_path / "top.csv"
+        weights = ["0.3333333333336333", "0.3333333333336333", "0.3333333333336334"]
+        path.write_text("".join(f"1.7976931348623157e308,{w}\n" for w in weights))
+        res = run_cli("influence", str(path), "--probes", "1:2:3")
+        assert_one_error_line(res, 3)
+        assert "overflows the float range" in res.stderr
+
     def test_divergent_quotient_exit_3(self, tmp_path):
         # the median of two half atoms jumps under any contamination beyond
         # the upper atom, so the influence quotient diverges
@@ -624,6 +658,12 @@ class TestFiniteCheck:
         assert_one_error_line(res, 2)
         assert "too large to allocate" in res.stderr
 
+    def test_estimator_past_the_index_range_exit_2(self):
+        # a codomain no index can hold reads as the allocation failure it is
+        res = run_cli("finite-check", "--map", "1 99999999999999999999999 : 0")
+        assert_one_error_line(res, 2)
+        assert "too large to allocate" in res.stderr
+
 
 class TestOutputRouting:
     @pytest.mark.parametrize(
@@ -673,6 +713,20 @@ class TestOutputRouting:
         assert_one_error_line(res, 2)
         assert message in res.stderr
         assert not (tmp_path / "out.txt").exists()
+
+
+class TestExitCodeContract:
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(text=st.binary(max_size=64))
+    def test_any_file_exits_0_2_or_3(self, tmp_path, text):
+        # in process, so an exception that escapes run fails the test itself
+        path = tmp_path / "any.csv"
+        path.write_bytes(text)
+        f = str(path)
+        for args in (["analyze", f], ["solve", f, f], ["influence", f, "--probes", "1:2:3"]):
+            assert run(args) in (0, 2, 3)
 
 
 def numpy_free_run(*args):

@@ -108,7 +108,7 @@ class TestInjectivity:
     def test_sum_map_not_injective(self):
         # oracle: enumerate all pairs of domain points
         collide = any(
-            P_SUM(i) == P_SUM(j)
+            P_SUM.table[i] == P_SUM.table[j]
             for i, j in itertools.combinations(range(P_SUM.domain_size), 2)
         )
         assert collide
