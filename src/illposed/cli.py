@@ -225,7 +225,10 @@ def _parse_probes(text: str) -> list[float]:
     start = math.log10(lo)
     step = (math.log10(hi) - start) / (count - 1)
     for k in range(1, count - 1):
-        probes[k] = 10.0 ** (start + k * step)
+        try:
+            probes[k] = 10.0 ** (start + k * step)
+        except OverflowError:  # the exponents grow with k: the rest stay max
+            break
     return probes
 
 

@@ -26,7 +26,6 @@ class Classification(str, enum.Enum):
 
 
 DEFAULT_KAPPA_THRESHOLD = 1e8
-_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,22 +142,21 @@ def stability_bound_check(
     ``||A t1 - A t2|| / ||A t2||``; the bound lhs <= rhs holds for every
     identifiable operator.  Euclidean norms throughout, taken without
     squaring.  ``rtol`` is the rank tolerance, as for :func:`diagnose`.
+
+    A theta is taken on both thetas scaled below 1 and on A scaled up to at
+    least 1/2, by powers of two: in range, and bit for bit the unscaled data
+    change unless a scaled entry turns subnormal.
     """
     theta1 = _vector(theta1, a.cols, "theta1")
     theta2 = _vector(theta2, a.cols, "theta2")
     _, s, rank = _numerical_rank(a, rtol)
     if rank != a.cols:
         raise InvalidInputError("stability bound requires an identifiable operator")
+    e = math.frexp(float(np.max(np.abs((theta1, theta2)))))[1]
+    shift = max(0, -math.frexp(float(np.max(np.abs(a.matrix))))[1])
+    m = np.ldexp(a.matrix, shift) if shift else a.matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        a1, a2 = a.matrix @ theta1, a.matrix @ theta2
-        if not np.all(np.isfinite((a1, a2))) or any(
-            np.max(np.abs(p)) < _TINY and np.any(t) for p, t in ((a1, theta1), (a2, theta2))
-        ):
-            # the data change is scale-free: retake it on both thetas scaled below
-            # 1 and, if A is smaller, on A scaled up below 1, by powers of two
-            e = math.frexp(float(np.max(np.abs((theta1, theta2)))))[1]
-            m = np.ldexp(a.matrix, max(0, -math.frexp(float(np.max(np.abs(a.matrix))))[1]))
-            a1, a2 = m @ np.ldexp(theta1, -e), m @ np.ldexp(theta2, -e)
+        a1, a2 = m @ np.ldexp(theta1, -e), m @ np.ldexp(theta2, -e)
     if not np.all(np.isfinite((a1, a2))):
         raise NumericalFailureError("A theta overflows the float range; rescale the operator")
     lhs = _relative_change(theta1, theta2, "theta2")
@@ -195,20 +193,17 @@ def perturbation_amplification(
 def _relative_change(u: np.ndarray, v: np.ndarray, name: str) -> float:
     """``||u - v|| / ||v||`` for finite vectors, Euclidean norms taken without squaring.
 
-    Where u - v or ||v|| overflows, both are taken again on u and v scaled
-    below 1 by one power of two, which is exact for normal floats and leaves
-    the quotient as it is.  ``name`` names v in the error raised when it is zero.
+    Taken on u and v scaled below 1 by one power of two, which ``math.hypot``
+    commutes with: nothing overflows, and the quotient is the unscaled one bit
+    for bit unless an entry turns subnormal; a nonzero v that scales to 0
+    gives inf.  ``name`` names v in the error raised when it is zero.
     """
-    with np.errstate(over="ignore"):
-        d = u - v
-    norm = math.hypot(*v.tolist())
-    if not (norm < math.inf and np.all(np.isfinite(d))):
-        e = math.frexp(float(np.max(np.abs((u, v)))))[1]
-        u, v = np.ldexp(u, -e), np.ldexp(v, -e)
-        d, norm = u - v, math.hypot(*v.tolist())
-    if norm == 0:
+    if not np.any(v):
         raise InvalidInputError(f"{name} must be nonzero")
-    return math.hypot(*d.tolist()) / norm
+    e = math.frexp(float(np.max(np.abs((u, v)))))[1]
+    u, v = np.ldexp(u, -e), np.ldexp(v, -e)
+    norm = math.hypot(*v.tolist())
+    return math.hypot(*(u - v).tolist()) / norm if norm else math.inf
 
 
 def spectrum_decay(spectrum) -> float:

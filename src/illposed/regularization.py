@@ -39,13 +39,8 @@ def tikhonov_solve(a: DenseOperator, data, lam: float) -> np.ndarray:
 
 
 def tsvd_solve(a: DenseOperator, data, k: int) -> np.ndarray:
-    """Least-squares solve restricted to the k leading singular triplets."""
-    d = _vector(data, a.rows, "data")
-    k = _level(k)
-    f = svd(a)
-    if not 1 <= k <= f.rank:
-        raise InvalidInputError(f"truncation level {k} outside [1, rank = {f.rank}]")
-    return _filtered_solve(f, d, k)
+    """Least-squares solve on the k leading singular triplets: restriction_sequence at [k]."""
+    return restriction_sequence(a, data, [k])[0]
 
 
 def _level(k) -> int:
@@ -147,7 +142,7 @@ def restriction_sequence(a: DenseOperator, data, levels) -> list[np.ndarray]:
 
     Each level solves the problem restricted to a larger subspace spanned by
     leading singular vectors; the final level equal to the rank reproduces
-    the unrestricted pseudo-inverse solve.
+    the unrestricted pseudo-inverse solve.  The error names the first level outside [1, rank].
     """
     d = _vector(data, a.rows, "data")
     levels = [_level(k) for k in levels]
@@ -156,8 +151,8 @@ def restriction_sequence(a: DenseOperator, data, levels) -> list[np.ndarray]:
     if any(nxt <= cur for cur, nxt in zip(levels, levels[1:])):
         raise InvalidInputError(f"levels must be strictly increasing, got {levels}")
     f = svd(a)
-    if levels[0] < 1 or levels[-1] > f.rank:
-        raise InvalidInputError(f"levels {levels} outside [1, rank = {f.rank}]")
+    if bad := [k for k in levels if not 1 <= k <= f.rank]:
+        raise InvalidInputError(f"truncation level {bad[0]} outside [1, rank = {f.rank}]")
     return [_filtered_solve(f, d, k) for k in levels]
 
 

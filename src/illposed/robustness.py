@@ -5,9 +5,9 @@ at eps -> 0+ along the contamination (1 - eps) F + eps * (point mass at y).
 Along that path the mean is linear, the trimmed mean piecewise linear and
 the median piecewise constant, so the derivative has a closed form.  A
 median that jumps at eps -> 0+ has none; it raises NumericalFailureError,
-as does a functional past the float range.  The growth of the influence across probe locations
-separates functionals that any data perturbation can hijack (the mean) from
-those that saturate (median, trimmed mean).
+as does a functional or an influence value past the float range.  How |IF|
+grows over the probes separates functionals that any data perturbation can
+hijack (the mean) from those that saturate (median, trimmed mean).
 """
 
 from __future__ import annotations
@@ -82,7 +82,10 @@ class EmpiricalDistribution(Record):
             raise InvalidInputError("locations must be finite")
         if not all(0.0 < v < math.inf for v in w):
             raise InvalidInputError("weights must be positive and finite")
-        total = math.fsum(w)
+        try:
+            total = math.fsum(w)
+        except OverflowError:  # positive weights whose sum passes the float range
+            total = math.inf
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise InvalidInputError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
         atoms = sorted(zip(loc, w), key=itemgetter(0))  # stable: ties keep their order
@@ -156,29 +159,9 @@ def influence_function(t: FunctionalKind, f: EmpiricalDistribution, y: float) ->
     MEDIAN gives 0 unless the median sits on an atom whose cumulative weight
     is 1/2 within 1e-12 and y lies above it: then the median jumps to a
     later location for every eps > 0, the influence quotient does not
-    converge, and NumericalFailureError is raised.
-
-    This evaluates one y at a time; :func:`influence_profile` evaluates the
-    same derivative over many y in one pass.
+    converge, and NumericalFailureError is raised.  One probe of :func:`influence_profile`.
     """
-    if not math.isfinite(y):
-        raise InvalidInputError(f"contamination location must be finite, got {y}")
-    y = float(y)
-    if t.kind is not Functional.TRIMMED_MEAN:
-        return _influence_over(t, f)([y])[0]
-    # y joins as a zero-weight atom unless it is already a location; the atom
-    # at x takes entry [y <= x] + [y < x] of its slopes (y above, at, below x)
-    loc, w = list(f.locations), list(f.weights)
-    if y not in loc:
-        at = bisect_left(loc, y)
-        loc.insert(at, y)
-        w.insert(at, 0.0)
-    alpha = t.trim_fraction
-    d_kept = [
-        _kept_slopes(hi, hi - wi, alpha)[(y <= x) + (y < x)]
-        for hi, wi, x in zip(accumulate(w), w, loc)
-    ]
-    return math.fsum(map(mul, loc, d_kept)) / (1.0 - 2.0 * alpha)
+    return _influence_over(t, f)(_probe_points([y]))[0]
 
 
 def _influence_over(t: FunctionalKind, f: EmpiricalDistribution):
@@ -307,19 +290,13 @@ def influence_profile(
     The atoms are sorted once, so p probes over m atoms cost
     O((m + p) log m) rather than one O(m) call per point.
     """
-    probes = _floats(probe_points, "probe points must be a 1-D sequence of numbers")
-    if not probes:
-        raise InvalidInputError("need at least one probe point")
-    if any(b < a for a, b in zip(probes, probes[1:])):
-        raise InvalidInputError("probe points must be sorted ascending")
-    if not all(map(math.isfinite, probes)):
-        raise InvalidInputError("probe points must be finite")
+    probes = _probe_points(probe_points)
     influence = _influence_over(t, f)  # the sums over the atoms serve both calls
-    values = tuple(influence(probes))
-
+    values, at_atoms = tuple(influence(probes)), influence(f.locations)
+    if not all(map(math.isfinite, chain(values, at_atoms))):
+        raise NumericalFailureError("the influence function overflows the float range")
     unbounded = _grows_linearly(map(abs, probes), map(abs, values))
     gamma = math.inf if unbounded else max(map(abs, values))
-    at_atoms = influence(f.locations)
     variance = math.fsum(map(mul, f.weights, map(mul, at_atoms, at_atoms)))
     return InfluenceProfile(
         probe_points=probes,
@@ -328,6 +305,17 @@ def influence_profile(
         unbounded_flag=unbounded,
         asymptotic_variance=variance,
     )
+
+
+def _probe_points(values) -> tuple[float, ...]:
+    probes = _floats(values, "probe points must be a 1-D sequence of numbers")
+    if not probes:
+        raise InvalidInputError("need at least one probe point")
+    if any(b < a for a, b in zip(probes, probes[1:])):
+        raise InvalidInputError("probe points must be sorted ascending")
+    if not all(map(math.isfinite, probes)):
+        raise InvalidInputError("probe points must be finite")
+    return probes
 
 
 def _grows_linearly(magnitudes, if_abs) -> bool:
@@ -340,9 +328,14 @@ def _grows_linearly(magnitudes, if_abs) -> bool:
     if len(x) < 2:
         return False
     v = [per_mag[m] for m in x]
+    # each axis scaled below 1 by a power of two: no sum overflows, no spread
+    # squares to 0, and the slope scales by 2^(a - b) exactly, far below 2^1023
+    a, b = math.frexp(x[-1])[1], math.frexp(max(v))[1]
+    x, v = [math.ldexp(m, -a) for m in x], [math.ldexp(r, -b) for r in v]
     x_bar, v_bar = math.fsum(x) / len(x), math.fsum(v) / len(v)
     dx = [m - x_bar for m in x]
-    return math.fsum(d * (b - v_bar) for d, b in zip(dx, v)) / math.fsum(d * d for d in dx) > 0.5
+    slope = math.fsum(d * (r - v_bar) for d, r in zip(dx, v)) / math.fsum(d * d for d in dx)
+    return slope > math.ldexp(0.5, min(a - b, 1024))
 
 
 class AttackResult(ValueRecord):

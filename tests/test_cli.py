@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from illposed.cli import _parse_probes, run
@@ -577,6 +577,35 @@ class TestInfluence:
         assert_one_error_line(res, 3)
         assert "overflows the float range" in res.stderr
 
+    @pytest.mark.parametrize("functional", ["mean", "trimmed:0.25"])
+    def test_probes_near_the_top_of_the_float_range(self, tmp_path, functional):
+        # two probe magnitudes above 9e307 sum past the float range; the
+        # growth slope is taken on values scaled below 1
+        path = tmp_path / "two.csv"
+        path.write_text("0,0.5\n1,0.5\n")
+        res = run_cli("influence", str(path), "--functional", functional,
+                      "--probes", "1e308:1.7e308:5")
+        assert res.returncode == 0, res.stderr
+        summary = json.loads("{" + res.stdout.split("{", 1)[1])
+        want = "unbounded" if functional == "mean" else 1
+        assert summary["gross_error_sensitivity"] == want
+
+    def test_weights_whose_sum_overflows_exit_2(self, tmp_path):
+        path = tmp_path / "heavy.csv"
+        path.write_text("1,1.7e308\n2,1.7e308\n")
+        res = run_cli("influence", str(path), "--probes", "1:2:3")
+        assert_one_error_line(res, 2)
+        assert "weights must sum to 1 within 1e-12, got inf" in res.stderr
+
+    def test_probe_grid_at_the_top_of_the_float_range(self, workdir):
+        # both ends share one rounded log10, whose power overflows: the
+        # probes past the float range are the max
+        top = sys.float_info.max
+        text = f"1.7976931348623155e308:{top!r}:3"
+        assert _parse_probes(text) == [1.7976931348623155e308, top, top]
+        res = run_cli("influence", str(workdir / "dist.csv"), "--probes", text)
+        assert res.returncode == 0, res.stderr
+
     def test_divergent_quotient_exit_3(self, tmp_path):
         # the median of two half atoms jumps under any contamination beyond
         # the upper atom, so the influence quotient diverges
@@ -727,6 +756,49 @@ class TestExitCodeContract:
         f = str(path)
         for args in (["analyze", f], ["solve", f, f], ["influence", f, "--probes", "1:2:3"]):
             assert run(args) in (0, 2, 3)
+
+
+    # any probe range of positive floats, over 2 or 3 atoms with locations
+    # or weights near the top of the float range
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        ends=st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=2, max_size=2, unique=True,
+        ).map(sorted),
+        count=st.integers(2, 12),
+        atoms=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0, -1.0, 1.7e308, -1.7e308, 1.7976931348623157e308,
+                                 -1.7976931348623157e308]),
+                st.sampled_from([0.5, 1 / 3, 0.25, 0.1, 0.9, 1.7e308, 1e308]),
+            ),
+            min_size=2, max_size=3,
+        ),
+        functional=st.sampled_from(["mean", "median", "trimmed:0.25"]),
+    )
+    @example(ends=[1e308, 1.7e308], count=5, atoms=[(0.0, 0.5), (1.0, 0.5)], functional="mean")
+    @example(
+        ends=[1e308, 1.7e308], count=5, atoms=[(0.0, 0.5), (1.0, 0.5)], functional="trimmed:0.25"
+    )
+    @example(ends=[1.0, 2.0], count=3, atoms=[(1.0, 1.7e308), (2.0, 1.7e308)], functional="mean")
+    @example(
+        ends=[1.7976931348623155e308, 1.7976931348623157e308], count=3,
+        atoms=[(0.0, 0.5), (1.0, 0.5)], functional="mean",
+    )
+    @example(
+        ends=[1e307, 5e307], count=11, atoms=[(-1.7e308, 0.9), (1.7e308, 0.1)], functional="mean"
+    )
+    def test_influence_over_the_float_range_exits_0_2_or_3(
+        self, tmp_path, ends, count, atoms, functional
+    ):
+        path = tmp_path / "atoms.csv"
+        path.write_text("".join(f"{x!r},{w!r}\n" for x, w in atoms))
+        probes = f"{ends[0]!r}:{ends[1]!r}:{count}"
+        args = ["influence", str(path), "--functional", functional, "--probes", probes]
+        assert run(args) in (0, 2, 3)
 
 
 def numpy_free_run(*args):

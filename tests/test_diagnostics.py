@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from illposed.diagnostics import (
     Classification,
+    _relative_change,
     bounded_away_from_zero,
     diagnose,
     perturbation_amplification,
@@ -384,14 +385,28 @@ def small_vectors(n):
 def test_relative_changes_are_scale_free(theta1, theta2, data, data_perturbed, k):
     assume(np.any(theta2) and np.any(data) and np.any(data != data_perturbed))
     a = SCALE_OPERATOR
+    # bit for bit: every input is scaled by a power of two before use
     base = stability_bound_check(a, theta1, theta2)
-    scaled = stability_bound_check(a, np.ldexp(theta1, k), np.ldexp(theta2, k))
-    assert scaled.lhs == pytest.approx(base.lhs, rel=1e-15, abs=0)
-    assert scaled.rhs == pytest.approx(base.rhs, rel=1e-15, abs=0)
+    assert stability_bound_check(a, np.ldexp(theta1, k), np.ldexp(theta2, k)) == base
     amp = perturbation_amplification(a, data, data_perturbed)
-    assert perturbation_amplification(
-        a, np.ldexp(data, k), np.ldexp(data_perturbed, k)
-    ) == pytest.approx(amp, rel=1e-15, abs=0)
+    assert perturbation_amplification(a, np.ldexp(data, k), np.ldexp(data_perturbed, k)) == amp
+
+
+@given(small_vectors(3), small_vectors(3), st.integers(-400, 400))
+def test_stability_bound_is_bit_identical_under_operator_scaling(theta1, theta2, k):
+    # the entries of A lie in [2^-4, 2^2], so 2^k A stays normal and inside
+    # the range, about [1e-138, 1e138], where LAPACK factors it unscaled
+    assume(np.any(theta2))
+    base = stability_bound_check(SCALE_OPERATOR, theta1, theta2)
+    scaled = DenseOperator(np.ldexp(SCALE_OPERATOR.matrix, k))
+    assert stability_bound_check(scaled, theta1, theta2) == base
+
+
+def test_relative_change_past_the_float_range_is_inf():
+    # v is nonzero but scales to 0 beside u: the quotient exceeds 2^1074
+    assert _relative_change(np.array([1e308, 0.0]), np.array([0.0, 5e-324]), "v") == math.inf
+    with pytest.raises(InvalidInputError, match="^v must be nonzero$"):
+        _relative_change(np.ones(2), np.zeros(2), "v")
 
 
 class TestSpectrumDecay:

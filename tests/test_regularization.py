@@ -257,6 +257,15 @@ class TestRestrictionSequence:
         with pytest.raises(InvalidInputError, match="got '1'"):
             restriction_sequence(a, np.ones(3), ["1", "3"])
 
+    @pytest.mark.parametrize("levels, bad", [([0, 1], 0), ([1, 4, 5], 4), ([-2, 9], -2)])
+    def test_error_names_the_first_level_outside_the_rank(self, levels, bad):
+        a = DenseOperator(np.eye(3))
+        message = rf"^truncation level {bad} outside \[1, rank = 3\]$"
+        with pytest.raises(InvalidInputError, match=message):
+            restriction_sequence(a, np.ones(3), levels)
+        with pytest.raises(InvalidInputError, match=message):
+            tsvd_solve(a, np.ones(3), bad)
+
 
 class TestFloatRange:
     """Library paths the CLI tests do not reach; any RuntimeWarning fails them

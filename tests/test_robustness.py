@@ -1,3 +1,8 @@
+import math
+from bisect import bisect_left
+from itertools import accumulate
+from operator import mul
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +16,7 @@ from illposed.robustness import (
     Functional,
     FunctionalKind,
     _grows_linearly,
+    _kept_slopes,
     contaminate,
     evaluate,
     influence_function,
@@ -69,6 +75,10 @@ class TestEmpiricalDistribution:
     def test_locations_must_be_finite(self):
         with pytest.raises(InvalidInputError):
             EmpiricalDistribution(np.array([np.inf]), np.array([1.0]))
+
+    def test_weights_whose_sum_overflows(self):
+        with pytest.raises(InvalidInputError, match="sum to 1 within 1e-12, got inf"):
+            EmpiricalDistribution([1.0, 2.0], [1.7e308, 1.7e308])
 
     def test_atoms_sorted_by_location(self):
         d = dist((3.0, 0.25), (1.0, 0.5), (2.0, 0.25))
@@ -329,16 +339,77 @@ class TestInfluenceProfile:
             if abs(slope - 0.5) > 1e-9:
                 assert _grows_linearly(mags.tolist(), vals.tolist()) == (slope > 0.5)
 
+    @pytest.mark.parametrize(
+        "mags, vals, want",
+        [
+            ([1e308, 1.7e308], [1e308, 1.7e308], True),  # their sums pass the float range
+            ([1e308, 1.7e308], [0.5, 1.0], False),
+            ([1e-300, 2e-300], [1e-300, 2e-300], True),  # their squares underflow
+            ([1.0, 2.0], [5e299, 5e299], False),
+            ([1.0, 2.0], [5e299, 1e300], True),
+            ([1e308, 1.7e308], [1e-10, 2e-10], False),  # the threshold 2^1056 is clamped
+            ([1e-300, 2e-300], [1e300, 2e300], True),  # the threshold 2^-1994 is 0
+        ],
+    )
+    def test_growth_slope_at_the_ends_of_the_float_range(self, mags, vals, want):
+        assert _grows_linearly(mags, vals) is want
+
+    def test_influence_past_the_float_range_fails(self):
+        # the mean is -1.36e308, so y - mean passes the float range for y > 4.4e307
+        f = dist((-1.7e308, 0.9), (1.7e308, 0.1))
+        with pytest.raises(NumericalFailureError, match="overflows the float range"):
+            influence_profile(MEAN, f, np.array([1e307, 5e307]))
+
+
+# values a multiple of 2^-8 up to 2^8 stay normal at every 2^k with |k| <= 900
+growth_axis = st.lists(st.integers(0, 2**16), min_size=2, max_size=12).map(
+    lambda v: [x / 256 for x in v]
+)
+
+
+@given(growth_axis, growth_axis, st.integers(-900, 900))
+def test_growth_flag_is_scale_free(mags, vals, k):
+    n = min(len(mags), len(vals))
+    mags, vals = mags[:n], vals[:n]
+    scaled = _grows_linearly([math.ldexp(m, k) for m in mags], [math.ldexp(v, k) for v in vals])
+    assert scaled is _grows_linearly(mags, vals)
+
+
+def exact_influence(t, f, y):
+    """The exact influence at one y, computed atom by atom.
+
+    MEAN gives y - mean.  MEDIAN gives 0: the cases that use this keep every
+    cumulative weight off 1/2, where the median jumps.  TRIMMED_MEAN
+    differentiates each atom's kept weight with y joined to the atoms.
+    """
+    if t.kind is Functional.MEAN:
+        return y - evaluate(MEAN, f)
+    if t.kind is Functional.MEDIAN:
+        return 0.0
+    # y joins as a zero-weight atom unless it is already a location; the atom
+    # at x takes entry [y <= x] + [y < x] of its slopes (y above, at, below x)
+    loc, w = list(f.locations), list(f.weights)
+    if y not in loc:
+        at = bisect_left(loc, y)
+        loc.insert(at, y)
+        w.insert(at, 0.0)
+    alpha = t.trim_fraction
+    d_kept = [
+        _kept_slopes(hi, hi - wi, alpha)[(y <= x) + (y < x)]
+        for hi, wi, x in zip(accumulate(w), w, loc)
+    ]
+    return math.fsum(map(mul, loc, d_kept)) / (1.0 - 2.0 * alpha)
+
 
 def oracle_profile(t, f, probes):
-    """influence_profile's values and variance from one influence_function call per point."""
-    values = np.array([influence_function(t, f, y) for y in probes])
-    at_atoms = np.array([influence_function(t, f, y) for y in f.locations])
+    """influence_profile's values and variance from one exact_influence call per point."""
+    values = np.array([exact_influence(t, f, float(y)) for y in probes])
+    at_atoms = np.array([exact_influence(t, f, y) for y in f.locations])
     return values, float(np.dot(f.weights, at_atoms**2))
 
 
 class TestVectorizedProfile:
-    """The one-pass profile against the per-point influence function."""
+    """The one-pass profile against the atom-by-atom influence."""
 
     KINDS = [MEAN, MEDIAN] + [trimmed_mean(a) for a in (0.0, 0.1, 0.25)]
     IDS = ["mean", "median", "trimmed:0", "trimmed:0.1", "trimmed:0.25"]
