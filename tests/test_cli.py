@@ -757,7 +757,6 @@ class TestExitCodeContract:
         for args in (["analyze", f], ["solve", f, f], ["influence", f, "--probes", "1:2:3"]):
             assert run(args) in (0, 2, 3)
 
-
     # any probe range of positive floats, over 2 or 3 atoms with locations
     # or weights near the top of the float range
     @settings(
