@@ -218,15 +218,15 @@ def _parse_probes(text: str) -> list[float]:
     # no address space holds more 8-byte values
     if count > sys.maxsize // 8:
         raise InvalidInputError(f"--probes count {count} exceeds {sys.maxsize // 8}")
-    # allocated whole first, so a count that cannot be held fails at once;
-    # the ends are exact, the rest are 10 ** (log10(min) + k * step)
+    # allocated whole first, so a count that cannot be held fails at once; the ends
+    # are exact, the rest 10 ** (log10(min) + k * step) clamped to [min, max], so sorted
     probes = [hi] * count
     probes[0] = lo
     start = math.log10(lo)
     step = (math.log10(hi) - start) / (count - 1)
     for k in range(1, count - 1):
         try:
-            probes[k] = 10.0 ** (start + k * step)
+            probes[k] = min(max(10.0 ** (start + k * step), lo), hi)
         except OverflowError:  # the exponents grow with k: the rest stay max
             break
     return probes

@@ -83,10 +83,9 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     attainable residual range raise NoSolutionError.  With no step cap, it
     stops when the mean no longer lies strictly inside the bracket, after
     about 60 residual evaluations, and returns the smallest lam of that final
-    bracket, a few ulp wide, whose residual reaches the target.  Residual
-    norms square nothing, so the data may have any finite size.  Only a
-    bracket outside the normal float range (sigma_max outside about
-    [1.5e-147, 1.3e154]) raises NumericalFailureError.
+    bracket, a few ulp wide, whose residual reaches the target.  It runs on
+    d and sigma scaled to unit exponent, so both may have any finite size;
+    only a root lam that is not a normal float raises NumericalFailureError.
     """
     if not 0 < noise_level < math.inf:
         raise InvalidInputError(f"noise_level must be > 0 and finite, got {noise_level}")
@@ -96,29 +95,25 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
     f = svd(a)
     if f.rank == 0:
         raise InvalidInputError("operator has numerical rank 0; nothing to regularize")
-    s_max = float(f.singular_values[0])
-    hi = s_max * s_max
+    # mu = lam / 4^k on sigma / 2^k, exact: a normal bracket, and s2 + mu <= 2
+    k = math.frexp(float(f.singular_values[0]))[1]
+    s2 = np.ldexp(f.singular_values, -k) ** 2
+    hi = float(s2[0])
     lo = 1e-14 * hi
-    if not (lo >= sys.float_info.min and hi < math.inf):
-        raise NumericalFailureError(
-            f"the lambda bracket [1e-14 sigma_max^2, sigma_max^2] at sigma_max = "
-            f"{s_max:.6g} is outside the float range; rescale the operator"
-        )
     # the residual is linear in d: measure it on d and the target scaled by
     # 2^-e, which is exact and keeps U^T d inside the float range
     e = math.frexp(float(np.max(np.abs(d))))[1]
     d = np.ldexp(d, -e)
-    s2 = f.singular_values**2
     beta = f.left_vectors.T @ d
     # component of d outside the retained range contributes a fixed residual
     perp = math.hypot(*(d - f.left_vectors @ beta).tolist())
 
-    def residual(lam: float) -> float:
-        return math.hypot(*((lam / (s2 + lam)) * beta).tolist(), perp)
+    def residual(mu: float) -> float:
+        return math.hypot(*((mu / (s2 + mu)) * beta).tolist(), perp)
 
-    def ldexp(r: float, k: int) -> float:  # inf, not OverflowError, where 2^k r overflows
+    def ldexp(r: float, n: int) -> float:  # inf, not OverflowError, where 2^n r overflows
         with np.errstate(over="ignore"):
-            return float(np.ldexp(r, k))
+            return float(np.ldexp(r, n))
 
     target = ldexp(tau * noise_level, -e)  # past the float range, unattainable
     r_lo, r_hi = residual(lo), residual(hi)
@@ -127,14 +122,15 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
             f"target residual {tau * noise_level:.6g} outside attainable range "
             f"[{ldexp(r_lo, e):.6g}, {ldexp(r_hi, e):.6g}]"
         )
-    # residual(lo) <= target <= residual(hi) throughout; sqrt(lo) * sqrt(hi)
-    # cannot underflow as lo * hi can, and the bracket holds finitely many floats
-    while lo < (lam := math.sqrt(lo) * math.sqrt(hi)) < hi:
-        if residual(lam) < target:
-            lo = lam
+    # residual(lo) <= target <= residual(hi) throughout; the bracket holds finitely many floats
+    while lo < (mu := math.sqrt(lo) * math.sqrt(hi)) < hi:
+        if residual(mu) < target:
+            lo = mu
         else:
-            hi = lam
-    return hi
+            hi = mu
+    if not sys.float_info.min_exp <= math.frexp(hi)[1] + 2 * k <= sys.float_info.max_exp:
+        raise NumericalFailureError(f"the discrepancy lambda {hi!r} * 4^{k} is not a normal float")
+    return math.ldexp(hi, 2 * k)
 
 
 def restriction_sequence(a: DenseOperator, data, levels) -> list[np.ndarray]:

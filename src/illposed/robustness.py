@@ -5,9 +5,10 @@ at eps -> 0+ along the contamination (1 - eps) F + eps * (point mass at y).
 Along that path the mean is linear, the trimmed mean piecewise linear and
 the median piecewise constant, so the derivative has a closed form.  A
 median that jumps at eps -> 0+ has none; it raises NumericalFailureError,
-as does a functional or an influence value past the float range.  How |IF|
-grows over the probes separates functionals that any data perturbation can
-hijack (the mean) from those that saturate (median, trimmed mean).
+as does a functional, an influence value or the asymptotic variance past
+the float range.  How |IF| grows over the probes separates functionals
+that any data perturbation can hijack (the mean) from those that saturate
+(median, trimmed mean).
 """
 
 from __future__ import annotations
@@ -293,11 +294,14 @@ def influence_profile(
     probes = _probe_points(probe_points)
     influence = _influence_over(t, f)  # the sums over the atoms serve both calls
     values, at_atoms = tuple(influence(probes)), influence(f.locations)
-    if not all(map(math.isfinite, chain(values, at_atoms))):
-        raise NumericalFailureError("the influence function overflows the float range")
+    try:
+        variance = math.fsum(map(mul, f.weights, map(mul, at_atoms, at_atoms)))
+    except OverflowError:  # finite terms whose sum passes the float range
+        variance = math.inf
+    if not all(map(math.isfinite, chain(values, at_atoms, [variance]))):
+        raise NumericalFailureError("the influence or its variance overflows the float range")
     unbounded = _grows_linearly(map(abs, probes), map(abs, values))
     gamma = math.inf if unbounded else max(map(abs, values))
-    variance = math.fsum(map(mul, f.weights, map(mul, at_atoms, at_atoms)))
     return InfluenceProfile(
         probe_points=probes,
         values=values,

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from illposed.cli import _parse_probes, run
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+# children treat warnings as errors, as pyproject.toml does in process
+PYTHON = [sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning"]
 
 
 def run_cli(*args, cwd=None):
     env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
     return subprocess.run(
-        [sys.executable, "-B", "-m", "illposed", *args],
+        [*PYTHON, "-m", "illposed", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -303,11 +305,11 @@ class TestSolve:
                 ["--method", "tikhonov", "--lambda", "0"],
                 "solution overflows",
             ),
-            # the lambda bracket [1e-14 sigma_max^2, sigma_max^2] leaves the normal
-            # range: its lower end underflows to 0, or sigma_max^2 under- or overflows
-            (("1e-155", "1e-156"), ["--noise", "0.5"], "lambda bracket"),
-            (("1e-170", "1e-171"), ["--noise", "0.5"], "lambda bracket"),
-            (("1e200", "1e199"), ["--noise", "0.5"], "lambda bracket"),
+            # the discrepancy root lambda is not a normal float: 9.99e-313 is
+            # subnormal, and the other two roots round to 0 and to inf
+            (("1e-155", "1e-156"), ["--noise", "0.5"], "is not a normal float"),
+            (("1e-170", "1e-171"), ["--noise", "0.5"], "is not a normal float"),
+            (("1e200", "1e199"), ["--noise", "0.5"], "is not a normal float"),
         ],
     )
     def test_outside_float_range_exit_3(self, workdir, diagonal, flags, message):
@@ -315,6 +317,57 @@ class TestSolve:
         res = run_cli("solve", matrix, str(workdir / "data2.csv"), *flags)
         assert_one_error_line(res, 3)
         assert message in res.stderr
+
+    @pytest.mark.parametrize(
+        "data, stdout",
+        [
+            # sigma_max^2 + lambda overflows on the unscaled spectrum, which
+            # made the attainable range read [1.3e+140, 0]
+            (
+                ("1.3e154", "0"),
+                "0.92307692307692313\n0\n{\n"
+                '  "method": "tikhonov",\n'
+                '  "parameter": 1.4083333333333333e+307,\n'
+                '  "residual": 9.999999999999987e+152,\n'
+                '  "solution_norm": 0.92307692307692313\n}\n',
+            ),
+            # the same overflow, where it used to leave the root unchanged
+            (
+                ("1.3e154", "2e153"),
+                "0.99415140432186655\n1.0028946023953442\n{\n"
+                '  "method": "tikhonov",\n'
+                '  "parameter": 9.9422750428922296e+305,\n'
+                '  "residual": 1e+153,\n'
+                '  "solution_norm": 1.4121383070467477\n}\n',
+            ),
+        ],
+        ids=["root-overflowed", "root-kept"],
+    )
+    def test_discrepancy_near_the_top_of_the_sigma_range(self, workdir, data, stdout):
+        matrix = write_diagonal(workdir / "diag.csv", "1.3e154", "1e153")
+        (workdir / "data.csv").write_text("\n".join(data) + "\n")
+        res = run_cli("solve", matrix, str(workdir / "data.csv"), "--noise", "1e153")
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert res.stdout == stdout
+
+    @pytest.mark.parametrize(
+        "diagonal, noise, lam",
+        [
+            (("1e155", "1e154"), 5e153, 9.6387052690057227e307),
+            (("1e-150", "1e-151"), 5e-151, 9.6119578051205924e-301),
+        ],
+    )
+    def test_discrepancy_roots_of_any_normal_size(self, workdir, diagonal, noise, lam):
+        # sigma_max^2 leaves the float range, but the root lambda does not
+        matrix = write_diagonal(workdir / "diag.csv", *diagonal)
+        (workdir / "data.csv").write_text("\n".join(diagonal) + "\n")
+        res = run_cli("solve", matrix, str(workdir / "data.csv"), "--noise", repr(noise))
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        report = json.loads("{" + res.stdout.split("{", 1)[1])
+        assert report["parameter"] == lam
+        assert report["residual"] == pytest.approx(noise, rel=1e-12, abs=0)
 
     def test_tikhonov_filter_squares_nothing(self, workdir):
         # sigma^2 overflows, so a filter sigma / (sigma^2 + lambda) would read 0, 0
@@ -429,7 +482,7 @@ class TestLargeMatrix:
         for args in (["analyze", str(matrix)], solve):
             split, whole = (
                 subprocess.run(
-                    [sys.executable, "-B", "-m", "illposed", *args],
+                    [*PYTHON, "-m", "illposed", *args],
                     capture_output=True, env=env, preexec_fn=pin,
                 )
                 for pin in (None, one_cpu)
@@ -605,6 +658,38 @@ class TestInfluence:
         assert _parse_probes(text) == [1.7976931348623155e308, top, top]
         res = run_cli("influence", str(workdir / "dist.csv"), "--probes", text)
         assert res.returncode == 0, res.stderr
+
+    def test_variance_past_the_float_range_exit_3(self, tmp_path):
+        # every influence value is finite, but IF^2 = 1e400 at both atoms
+        path = tmp_path / "wide.csv"
+        path.write_text("-1e200,0.5\n1e200,0.5\n")
+        res = run_cli("influence", str(path), "--probes", "1:2:3")
+        assert_one_error_line(res, 3)
+        assert "variance overflows the float range" in res.stderr
+        assert "Infinity" not in res.stderr
+
+    def test_close_probe_ends_stay_sorted(self, tmp_path):
+        # 10 ** (log10(min) + k * step) rounds below min for some k here
+        path = tmp_path / "two.csv"
+        path.write_text("0,0.5\n1,0.5\n")
+        text = "8.104405193162552e-162:8.104405193163034e-162:6"
+        res = run_cli("influence", str(path), "--probes", text)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        probes = [float(row.split(",")[0]) for row in res.stdout.splitlines()[1:7]]
+        assert probes == sorted(probes) and len(probes) == 6
+
+    @given(
+        lo=st.floats(min_value=5e-324, max_value=1e300),
+        steps=st.integers(1, 10**6),
+        count=st.integers(2, 64),
+    )
+    def test_probe_grid_is_sorted_inside_its_ends(self, lo, steps, count):
+        # ends a few ulp apart are where the rounded powers leave [min, max]
+        hi = lo + steps * math.ulp(lo)
+        probes = _parse_probes(f"{lo!r}:{hi!r}:{count}")
+        assert probes == sorted(probes)
+        assert probes[0] == lo and probes[-1] == hi
 
     def test_divergent_quotient_exit_3(self, tmp_path):
         # the median of two half atoms jumps under any contamination beyond
@@ -812,7 +897,7 @@ def numpy_free_run(*args):
     )
     env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
     return subprocess.run(
-        [sys.executable, "-B", "-c", code, *args], capture_output=True, text=True, env=env
+        [*PYTHON, "-c", code, *args], capture_output=True, text=True, env=env
     )
 
 
@@ -820,7 +905,7 @@ class TestNumpyFree:
     def test_import_cli(self):
         code = "import sys, illposed.cli; sys.exit('numpy' in sys.modules)"
         res = subprocess.run(
-            [sys.executable, "-B", "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+            [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
         )
         assert res.returncode == 0
 
@@ -905,7 +990,7 @@ class TestStartupImports:
             "sys.exit(status)\n"
         )
         res = subprocess.run(
-            [sys.executable, "-B", "-c", code, *args],
+            [*PYTHON, "-c", code, *args],
             capture_output=True, text=True, cwd=workdir,
             env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
         )
@@ -938,7 +1023,7 @@ class TestStartupImports:
             "sys.exit(status)\n"
         )
         res = subprocess.run(
-            [sys.executable, "-B", "-c", code, *args],
+            [*PYTHON, "-c", code, *args],
             capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
         )
         assert res.returncode == 0, res.stderr

@@ -15,7 +15,7 @@ from illposed.diagnostics import (
     spectrum_decay,
     stability_bound_check,
 )
-from illposed.errors import InvalidInputError, NumericalFailureError
+from illposed.errors import InvalidInputError
 from illposed.fredholm import heaviside_operator
 from illposed.linop import DenseOperator, svd
 
@@ -71,6 +71,13 @@ class TestDiagnose:
             "spectrum",
             "decay_exponent",
         ]
+
+    def test_zero_matrix_is_non_identifiable(self):
+        r = diagnose(DenseOperator(np.zeros((2, 3))))
+        assert r.numerical_rank == 0
+        assert (r.sigma_max, r.sigma_min, r.condition_number) == (0.0, 0.0, math.inf)
+        assert r.classification is Classification.NON_IDENTIFIABLE
+        assert not r.identifiable
 
     def test_spectrum_has_discarded_tail(self):
         r = diagnose(DenseOperator(np.diag([1.0, 1e-20])))
@@ -177,11 +184,24 @@ class TestStabilityBound:
             bound = stability_bound_check(a, np.array([2e200, 1.0]), np.array([1e200, 1.0]))
         assert (bound.lhs, bound.rhs, bound.holds) == (1.0, 1.0, True)
 
-    def test_products_outside_the_float_range_fail(self):
-        # every entry of theta1 is below 1 and A theta1 still overflows
+    def test_products_past_the_float_range_are_answered(self):
+        # every entry of theta1 is below 1 and A theta1 overflows unscaled;
+        # A is sqrt(2) * 1e308 times an orthogonal matrix, so kappa = 1
         a = DenseOperator([[1e308, 1e308], [1e308, -1e308]])
-        with pytest.raises(NumericalFailureError, match="overflows"):
-            stability_bound_check(a, np.array([0.99, 0.99]), np.array([0.5, 0.25]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = stability_bound_check(a, np.array([0.99, 0.99]), np.array([0.5, 0.25]))
+        assert bound.lhs == 1.5876523548938537
+        assert bound.rhs == pytest.approx(bound.lhs, rel=1e-14)
+        assert bound.holds
+
+    def test_theta2_that_vanishes_on_the_common_scale(self):
+        # theta2 scales to 0 beside theta1, and so does A theta2: both sides
+        # exceed 2^1074, and A is injective, so both are inf
+        bound = stability_bound_check(
+            DenseOperator(np.eye(2)), np.array([1e308, 0.0]), np.array([5e-324, 0.0])
+        )
+        assert (bound.lhs, bound.rhs, bound.holds) == (math.inf, math.inf, True)
 
     def test_products_that_underflow(self):
         # A theta2 = (1e-400, 0) underflows to 0 although theta2 is nonzero;
@@ -196,8 +216,8 @@ class TestStabilityBound:
         assert bound.holds
 
     def test_well_scaled_inputs_take_the_plain_quotients(self):
-        # no rescale on entries of magnitude 1e-3 to 1e3: both sides are the
-        # quotients of the unscaled norms, bit for bit
+        # scaling by powers of two is exact on entries of magnitude 1e-3 to
+        # 1e3: both sides are the quotients of the unscaled norms, bit for bit
         rng = np.random.default_rng(2024)
         checked = 0
         while checked < 3000:
@@ -319,6 +339,10 @@ class TestPerturbationAmplification:
             warnings.simplefilter("error", RuntimeWarning)
             amp = perturbation_amplification(DenseOperator(np.eye(2)), *data)
         assert amp == 1.0
+
+    def test_non_identifiable_rejected(self):
+        with pytest.raises(InvalidInputError, match="requires an identifiable operator"):
+            perturbation_amplification(DenseOperator([[1.0, 1.0]]), np.ones(1), np.zeros(1))
 
     def test_equal_data_rejected(self):
         with pytest.raises(InvalidInputError, match="^the perturbation must be nonzero$"):

@@ -30,6 +30,8 @@ from illposed.fileio import (
 
 RNG = np.random.default_rng(99)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# children treat warnings as errors, as pyproject.toml does in process
+PYTHON = [sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning"]
 FINITE_MATRICES = arrays(
     np.float64,
     array_shapes(min_dims=2, max_dims=2, max_side=5),
@@ -92,7 +94,7 @@ class TestCsv:
         path.write_text("1,\x1c2\n")
         assert read_matrix_csv(str(path)).matrix.tolist() == [[1.0, 2.0]]
         res = subprocess.run(
-            [sys.executable, "-B", "-m", "illposed", "analyze", str(path)],
+            [*PYTHON, "-m", "illposed", "analyze", str(path)],
             capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
         )
         assert res.returncode == 0, res.stderr
@@ -372,7 +374,7 @@ class TestSplitParse:
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         res = subprocess.run(
-            [sys.executable, "-B", "-c", code, str(path)],
+            [*PYTHON, "-c", code, str(path)],
             capture_output=True,
             text=True,
             env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},

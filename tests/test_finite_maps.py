@@ -97,6 +97,20 @@ class TestFiniteMap:
         with pytest.raises(InvalidInputError):
             parse_finite_map("2 3 0,1")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 : 0,1", "expected 'domain_size codomain_size :'"),
+            ("2 3 4 : 0,1", "expected 'domain_size codomain_size :'"),
+            ("2 x : 0,1", "malformed finite map"),
+            ("2 3 : 0,one", "malformed finite map"),
+            ("1 0 : 0", "codomain_size must be >= 1, got 0"),
+        ],
+    )
+    def test_malformed_text_rejected(self, text, message):
+        with pytest.raises(InvalidInputError, match=message):
+            parse_finite_map(text)
+
 
 class TestInjectivity:
     def test_injective(self):

@@ -9,6 +9,7 @@ from illposed import cli, diagnostics, regularization
 from illposed.errors import InvalidInputError, NumericalFailureError
 from illposed.linop import (
     DenseOperator,
+    SvdFactors,
     hat_operator,
     is_identifiable_linear,
     linear_parameter_identifiable,
@@ -48,6 +49,10 @@ class TestDenseOperator:
 
 
 class TestSvd:
+    def test_factors_need_a_nonincreasing_spectrum(self):
+        with pytest.raises(InvalidInputError, match="^singular values must be nonincreasing$"):
+            SvdFactors(np.eye(2), np.array([1.0, 2.0]), np.eye(2), 0.0, np.array([]))
+
     def test_identity_spectrum(self):
         f = svd(DenseOperator(np.eye(3)))
         assert np.allclose(f.singular_values, [1, 1, 1])

@@ -7,6 +7,8 @@ import pytest
 import illposed
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+# children treat warnings as errors, as pyproject.toml does in process
+PYTHON = [sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning"]
 
 MODULES = ("diagnostics", "errors", "finite_maps", "fredholm", "linop", "regularization",
            "robustness")
@@ -51,7 +53,7 @@ def test_finite_maps_import_without_numpy():
         "sys.exit('numpy' in sys.modules)\n"
     )
     res = subprocess.run(
-        [sys.executable, "-B", "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+        [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
     )
     assert res.returncode == 0
 
@@ -67,6 +69,6 @@ def test_influence_profile_without_numpy():
         "sys.exit('numpy' in sys.modules)\n"
     )
     res = subprocess.run(
-        [sys.executable, "-B", "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+        [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
     )
     assert res.returncode == 0

@@ -204,6 +204,10 @@ class TestDiscrepancy:
         target = floor + fraction * (top - floor)
         assert residual(discrepancy_select(a, d, target)) == pytest.approx(target, rel=1e-12)
 
+    def test_rank_zero_rejected(self):
+        with pytest.raises(InvalidInputError, match="numerical rank 0"):
+            discrepancy_select(DenseOperator(np.zeros((2, 2))), np.ones(2), noise_level=0.1)
+
     def test_validation(self):
         a = DenseOperator(np.eye(2))
         with pytest.raises(InvalidInputError):
@@ -341,3 +345,21 @@ class TestScaleEquivariance:
         lam = discrepancy_select(DenseOperator(a), d, delta)
         scaled = discrepancy_select(DenseOperator(alpha * a), beta * d, beta * delta)
         assert scaled / alpha**2 == pytest.approx(lam, rel=1e-10)
+
+    @given(
+        st.integers(0, 2**32 - 1), st.floats(0.01, 0.45),
+        st.integers(-400, 400), st.integers(-900, 900),
+    )
+    def test_discrepancy_lambda_is_exact_under_powers_of_two(self, seed, fraction, j, i):
+        # bit for bit lambda(2^j A, 2^i d, 2^i delta) = 4^j lambda(A, d, delta):
+        # |j| <= 400 keeps 2^j A where LAPACK factors it unscaled, so sigma
+        # moves by exactly 2^j
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+        d = rng.standard_normal(4)
+        delta = fraction * math.hypot(*d)
+        lam = discrepancy_select(DenseOperator(a), d, delta)
+        scaled = discrepancy_select(
+            DenseOperator(np.ldexp(a, j)), np.ldexp(d, i), math.ldexp(delta, i)
+        )
+        assert scaled == math.ldexp(lam, 2 * j)

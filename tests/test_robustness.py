@@ -162,6 +162,13 @@ class TestEvaluate:
             evaluate(MEAN, UNIFORM9)
         )
 
+    def test_mean_past_the_float_range_fails(self):
+        # weights sum to 1 + 9e-13, inside the tolerance, so the mean overflows
+        top = 1.7976931348623157e308
+        f = dist((top, 0.3333333333336333), (top, 0.3333333333336333), (top, 0.3333333333336334))
+        with pytest.raises(NumericalFailureError, match="^the functional overflows the float"):
+            evaluate(MEAN, f)
+
 
 class TestContaminate:
     def test_two_point_mixture(self):
@@ -178,6 +185,11 @@ class TestContaminate:
             contaminate(UNIFORM9, 0.0, 1.0)
         with pytest.raises(InvalidInputError):
             contaminate(UNIFORM9, 1.0, 1.0)
+
+    @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+    def test_non_finite_location_rejected(self, y):
+        with pytest.raises(InvalidInputError, match="contamination location must be finite"):
+            contaminate(UNIFORM9, 0.5, y)
 
     def test_total_variation_distance_is_eps(self):
         eps = 0.125
@@ -353,6 +365,18 @@ class TestInfluenceProfile:
     )
     def test_growth_slope_at_the_ends_of_the_float_range(self, mags, vals, want):
         assert _grows_linearly(mags, vals) is want
+
+    def test_variance_past_the_float_range_fails(self):
+        # each influence value is finite, but IF^2 = 1e400 at both atoms
+        with pytest.raises(NumericalFailureError, match="variance overflows the float range"):
+            influence_profile(MEAN, dist((-1e200, 0.5), (1e200, 0.5)), [1.0, 2.0])
+
+    def test_variance_whose_sum_overflows_fails(self):
+        # each weighted IF^2 is finite; the weights sum to 1 + 9e-13, so their sum is not
+        y = math.sqrt(1.7976931348623157e308) * (1 - 1e-16)
+        f = dist((-y, 0.50000000000045), (y, 0.50000000000045))
+        with pytest.raises(NumericalFailureError, match="variance overflows the float range"):
+            influence_profile(MEAN, f, [1.0, 2.0])
 
     def test_influence_past_the_float_range_fails(self):
         # the mean is -1.36e308, so y - mean passes the float range for y > 4.4e307

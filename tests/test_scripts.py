@@ -7,6 +7,8 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+# children treat warnings as errors, as pyproject.toml does in process
+PYTHON = [sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning"]
 
 
 @pytest.mark.parametrize(
@@ -22,7 +24,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 )
 def test_script_runs(script, args, header):
     res = subprocess.run(
-        [sys.executable, "-B", str(ROOT / "scripts" / script), *args],
+        [*PYTHON, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
