@@ -242,9 +242,7 @@ def _cmd_influence(args) -> tuple[str | None, dict]:
     profile = robustness.influence_profile(kind, dist, probes)
     return table_to_csv(["probe", "influence"], [profile.probe_points, profile.values]), {
         "functional": args.functional,
-        "gross_error_sensitivity": (
-            "unbounded" if profile.unbounded_flag else profile.gross_error_sensitivity
-        ),
+        "gross_error_sensitivity": profile.gross_error_sensitivity,
         "asymptotic_variance": profile.asymptotic_variance,
     }
 

@@ -158,6 +158,7 @@ def table_to_csv(header: list[str], columns: list[np.ndarray]) -> str:
 
 
 def _json_value(v) -> str:
+    """One JSON value; a float equal to +inf (an infinite bound) is ``"unbounded"``."""
     if hasattr(v, "tolist"):  # a numpy scalar or array, as Python values
         v = v.tolist()
     if isinstance(v, bool):
@@ -167,7 +168,7 @@ def _json_value(v) -> str:
     if isinstance(v, int):
         return str(int(v))
     if isinstance(v, float):
-        return fmt_float(v)
+        return '"unbounded"' if v == math.inf else fmt_float(v)
     if isinstance(v, str):
         if v.isascii() and v.isprintable() and '"' not in v and "\\" not in v:
             return f'"{v}"'  # as json.dumps writes a string that needs no escape
@@ -180,6 +181,6 @@ def _json_value(v) -> str:
 
 
 def json_flat(d: dict) -> str:
-    """Flat JSON object with keys in insertion order."""
+    """Flat JSON object with keys in insertion order; +inf is written ``"unbounded"``."""
     body = ",\n".join(f"  {_json_value(k)}: {_json_value(v)}" for k, v in d.items())
     return "{\n" + body + "\n}\n"

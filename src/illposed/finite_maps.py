@@ -63,9 +63,6 @@ class FiniteMap(ValueRecord):
             inner.domain_size, self.codomain_size, tuple(self.table[v] for v in inner.table)
         )
 
-    def image(self) -> frozenset[int]:
-        return frozenset(self.table)
-
 
 def parse_finite_map(text: str) -> FiniteMap:
     """Parse the one-line text format ``domain_size codomain_size : t0,t1,...``."""

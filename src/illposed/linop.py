@@ -123,13 +123,11 @@ class SvdFactors:
     discarded: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.singular_values, dtype=float)
-        if np.any(np.diff(s) > 0):
+        for name in ("left_vectors", "singular_values", "right_vectors", "discarded"):
+            x = np.asarray(getattr(self, name), dtype=float)  # a caller's array stays its own
+            object.__setattr__(self, name, _freeze(x.copy() if x.flags.writeable else x))
+        if np.any(np.diff(self.singular_values) > 0):
             raise InvalidInputError("singular values must be nonincreasing")
-        object.__setattr__(self, "left_vectors", _freeze(self.left_vectors))
-        object.__setattr__(self, "singular_values", _freeze(s))
-        object.__setattr__(self, "right_vectors", _freeze(self.right_vectors))
-        object.__setattr__(self, "discarded", _freeze(self.discarded))
 
     @property
     def rank(self) -> int:
@@ -141,20 +139,18 @@ def default_rtol(a: DenseOperator) -> float:
     return max(a.rows, a.cols) * float(np.finfo(float).eps)
 
 
-def _numerical_rank(
-    a: DenseOperator, rtol: float | None, vectors: bool = False
-) -> tuple[float, np.ndarray, int]:
+def _numerical_rank(a: DenseOperator, rtol: float | None) -> tuple[float, np.ndarray, int]:
     """``(rtol, sigma, rank)``: the validated tolerance, the operator's
     singular values and how many of them exceed ``rtol * sigma_max``.
 
-    Reads the values-only stage of the cache unless ``vectors`` asks for
-    the full factorization first.
+    Reads :attr:`DenseOperator._spectrum`, which is the factors' own sigma
+    when the factors came first.
     """
     if rtol is None:
         rtol = default_rtol(a)
     if not 0 <= rtol < math.inf:
         raise InvalidInputError(f"rtol must be >= 0 and finite, got {rtol}")
-    s = a._factors[1] if vectors else a._spectrum
+    s = a._spectrum
     return rtol, s, int(np.sum(s > rtol * s[0]))
 
 
@@ -174,8 +170,8 @@ def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
         Relative truncation threshold, >= 0.  Defaults to
         ``max(rows, cols) * machine epsilon``.
     """
-    rtol, s, rank = _numerical_rank(a, rtol, vectors=True)
-    u, _, v = a._factors
+    u, _, v = a._factors  # first, so the rank reads the factors' own sigma
+    rtol, s, rank = _numerical_rank(a, rtol)
     return SvdFactors(
         left_vectors=u[:, :rank],
         singular_values=s[:rank],
@@ -226,8 +222,8 @@ def null_space(a: DenseOperator, rtol: float | None = None) -> np.ndarray:
     The right singular vectors past the numerical rank, sliced from the
     operator's one shared factorization.
     """
-    rank = _numerical_rank(a, rtol, vectors=True)[2]
-    return a._factors[2][:, rank:].copy()
+    v = a._factors[2]  # first, so the rank reads the factors' own sigma
+    return v[:, _numerical_rank(a, rtol)[2] :].copy()
 
 
 def linear_parameter_identifiable(

@@ -92,15 +92,6 @@ class EmpiricalDistribution(Record):
         atoms = sorted(zip(loc, w), key=itemgetter(0))  # stable: ties keep their order
         super().__init__(tuple(map(itemgetter(0), atoms)), tuple(map(itemgetter(1), atoms)))
 
-    @classmethod
-    def from_atoms(cls, atoms) -> "EmpiricalDistribution":
-        pairs = list(atoms)
-        return cls([p[0] for p in pairs], [p[1] for p in pairs])
-
-    @property
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.locations, self.weights))
-
 
 def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
     """Value of the functional at a distribution.
@@ -114,17 +105,18 @@ def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
     """
     if t.kind is Functional.MEDIAN:
         return f.locations[_median_index(list(accumulate(f.weights)))]
-    alpha = t.trim_fraction
+    alpha = t.trim_fraction or 0.0  # None for the mean
+    kept = f.weights if not alpha else (  # the mean, or a trimmed mean that trims nothing
+        max(min(hi, 1.0 - alpha) - max(hi - w, alpha), 0.0)
+        for hi, w in zip(accumulate(f.weights), f.weights)
+    )
     try:
-        if not alpha:  # the mean, or a trimmed mean that trims nothing
-            return math.fsum(map(mul, f.weights, f.locations))
-        kept = (
-            max(min(hi, 1.0 - alpha) - max(hi - w, alpha), 0.0)
-            for hi, w in zip(accumulate(f.weights), f.weights)
-        )
-        return math.fsum(map(mul, kept, f.locations)) / (1.0 - 2.0 * alpha)
-    except OverflowError:
-        raise NumericalFailureError("the functional overflows the float range") from None
+        value = math.fsum(map(mul, kept, f.locations)) / (1.0 - 2.0 * alpha)
+    except OverflowError:  # a sum past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalFailureError("the functional overflows the float range")
+    return value
 
 
 def _median_index(cum: list[float]) -> int:

@@ -293,7 +293,7 @@ def test_criterion_7c_residual_monotone_in_lambda():
 
 def test_criterion_8_robustness_suite():
     """Mean vs median/trimmed-mean sensitivity, attack exactness, variance."""
-    f9 = EmpiricalDistribution.from_atoms([(float(k), 1 / 9) for k in range(1, 10)])
+    f9 = EmpiricalDistribution([float(k) for k in range(1, 10)], [1 / 9] * 9)
     mu = evaluate(MEAN, f9)
     probes = np.array([-1e6, -1e4, -100.0, -10.0, 10.0, 100.0, 1e4, 1e6])
 
@@ -310,7 +310,7 @@ def test_criterion_8_robustness_suite():
         attack_err = max(attack_err, abs(res.achieved - target))
         assert res.distance == 0.01
 
-    rademacher = EmpiricalDistribution.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
+    rademacher = EmpiricalDistribution([-1.0, 1.0], [0.5, 0.5])
     var = influence_profile(MEAN, rademacher, np.array([-2.0, 0.0, 2.0])).asymptotic_variance
 
     ok = (

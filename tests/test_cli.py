@@ -28,6 +28,25 @@ def run_cli(*args, cwd=None):
     )
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the non-JSON constants Infinity, -Infinity and NaN."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def run_in_process(args, capsys):
+    """``run(args)``, with the JSON document of a successful run parsed strictly."""
+    capsys.readouterr()
+    code = run(args)
+    out = capsys.readouterr().out
+    if code == 0:
+        strict_json(out[out.index("{"):])
+    return code
+
+
 def assert_one_error_line(res, code):
     assert res.returncode == code
     assert res.stdout == ""
@@ -61,7 +80,7 @@ class TestAnalyze:
             "analyze", str(workdir / "ones_row.csv"), "--param", str(workdir / "param_x.csv")
         )
         assert res.returncode == 0
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert report["identifiable"] is False
         assert report["parameter_identifiable"] is False
         assert report["classification"] == "NON_IDENTIFIABLE"
@@ -70,13 +89,24 @@ class TestAnalyze:
         res = run_cli(
             "analyze", str(workdir / "ones_row.csv"), "--param", str(workdir / "param_sum.csv")
         )
-        assert json.loads(res.stdout)["parameter_identifiable"] is True
+        assert strict_json(res.stdout)["parameter_identifiable"] is True
 
     def test_identity_well_posed(self, workdir):
         res = run_cli("analyze", str(workdir / "identity.csv"))
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert report["classification"] == "WELL_POSED"
         assert report["condition_number"] == 1.0
+
+    @pytest.mark.parametrize("rows", ["0\n", "0,0\n0,0\n", "0,0,0\n0,0,0\n"])
+    def test_zero_operator_condition_number_is_unbounded(self, tmp_path, rows):
+        path = tmp_path / "zero.csv"
+        path.write_text(rows)
+        res = run_cli("analyze", str(path))
+        assert res.returncode == 0, res.stderr
+        assert '"condition_number": "unbounded"' in res.stdout
+        report = strict_json(res.stdout)
+        assert report["numerical_rank"] == 0
+        assert report["classification"] == "NON_IDENTIFIABLE"
 
     def test_heaviside_ill_conditioned_under_low_threshold(self, workdir, tmp_path):
         n = 256
@@ -86,7 +116,7 @@ class TestAnalyze:
         path = tmp_path / "heaviside.csv"
         path.write_text(rows + "\n")
         res = run_cli("analyze", str(path), "--kappa-threshold", "100")
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert report["classification"] == "ILL_CONDITIONED"
         assert report["condition_number"] > 100
 
@@ -172,7 +202,7 @@ class TestSolve:
         assert res.returncode == 0
         lines = res.stdout.splitlines()
         assert lines[0] == "1" and lines[1] == "1"
-        report = json.loads("\n".join(lines[2:]))
+        report = strict_json("\n".join(lines[2:]))
         assert report["method"] == "none"
         assert report["parameter"] is None
         assert report["residual"] == 0.0
@@ -192,7 +222,7 @@ class TestSolve:
         )
         assert res.returncode == 0
         assert out.read_text().splitlines() == ["0.5", "0.5"]
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert report["method"] == "tikhonov"
         assert report["parameter"] == 1.0
 
@@ -271,7 +301,7 @@ class TestSolve:
             "--noise", "0.1", "--tau", "1.5",
         )
         assert res.returncode == 0
-        report = json.loads("\n".join(res.stdout.splitlines()[2:]))
+        report = strict_json("\n".join(res.stdout.splitlines()[2:]))
         assert report["method"] == "tikhonov"
         assert report["residual"] == pytest.approx(0.15, rel=1e-12)
 
@@ -365,7 +395,7 @@ class TestSolve:
         res = run_cli("solve", matrix, str(workdir / "data.csv"), "--noise", repr(noise))
         assert res.returncode == 0, res.stderr
         assert res.stderr == ""
-        report = json.loads("{" + res.stdout.split("{", 1)[1])
+        report = strict_json("{" + res.stdout.split("{", 1)[1])
         assert report["parameter"] == lam
         assert report["residual"] == pytest.approx(noise, rel=1e-12, abs=0)
 
@@ -390,7 +420,7 @@ class TestSolve:
         )
         assert res.returncode == 0, res.stderr
         assert res.stderr == ""
-        report = json.loads("\n".join(res.stdout.splitlines()[1:]))
+        report = strict_json("\n".join(res.stdout.splitlines()[1:]))
         assert report["residual"] == pytest.approx(1e308, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
@@ -416,7 +446,7 @@ class TestSolve:
         )
         assert res.returncode == 0, res.stderr
         assert res.stderr == ""
-        report = json.loads("\n".join(res.stdout.splitlines()[n:]))
+        report = strict_json("\n".join(res.stdout.splitlines()[n:]))
         assert report["residual"] == pytest.approx(noise, rel=0.01, abs=0)
 
     @pytest.mark.parametrize(
@@ -451,7 +481,7 @@ class TestSolve:
         res = run_cli("solve", matrix, str(workdir / "data.csv"), "--method", "none")
         assert res.returncode == 0, res.stderr
         assert res.stderr == ""
-        report = json.loads("\n".join(res.stdout.splitlines()[2:]))
+        report = strict_json("\n".join(res.stdout.splitlines()[2:]))
         assert report["solution_norm"] == pytest.approx(math.hypot(*x), rel=1e-15, abs=0)
         assert report["residual"] == 0
 
@@ -499,7 +529,7 @@ class TestFredholmDemo:
             "fredholm-demo", "--n", "1000", "--n-osc", "8", "--out", str(out)
         )
         assert res.returncode == 0
-        summary = json.loads(res.stdout)
+        summary = strict_json(res.stdout)
         assert summary["amplification"] == pytest.approx(16 * math.pi, rel=0.1)
         header = out.read_text().splitlines()[0]
         assert header == "y,F_unperturbed,F_perturbed,f_recovered,f_analytic"
@@ -512,7 +542,7 @@ class TestFredholmDemo:
             "fredholm-demo", "--n", "1000", "--n-osc", "8",
             "--lambda", "1e-4", "--out", str(out),
         )
-        summary = json.loads(res.stdout)
+        summary = strict_json(res.stdout)
         assert summary["lambda"] == 1e-4
         assert summary["regularized_sup_deviation"] < summary["sol_dev"]
         assert out.read_text().splitlines()[0].endswith(",f_regularized")
@@ -552,7 +582,7 @@ class TestInfluence:
         )
         assert res.returncode == 0
         csv_part, json_part = res.stdout.split("{", 1)
-        summary = json.loads("{" + json_part)
+        summary = strict_json("{" + json_part)
         assert summary["gross_error_sensitivity"] == "unbounded"
         assert csv_part.splitlines()[0] == "probe,influence"
 
@@ -561,7 +591,7 @@ class TestInfluence:
             "influence", str(workdir / "dist.csv"),
             "--functional", "median", "--probes", "10:1e6:6",
         )
-        summary = json.loads("{" + res.stdout.split("{", 1)[1])
+        summary = strict_json("{" + res.stdout.split("{", 1)[1])
         assert summary["gross_error_sensitivity"] != "unbounded"
 
     def test_trimmed_functional_parse(self, workdir):
@@ -639,7 +669,7 @@ class TestInfluence:
         res = run_cli("influence", str(path), "--functional", functional,
                       "--probes", "1e308:1.7e308:5")
         assert res.returncode == 0, res.stderr
-        summary = json.loads("{" + res.stdout.split("{", 1)[1])
+        summary = strict_json("{" + res.stdout.split("{", 1)[1])
         want = "unbounded" if functional == "mean" else 1
         assert summary["gross_error_sensitivity"] == want
 
@@ -707,14 +737,14 @@ class TestFiniteCheck:
     def test_default_sweep(self):
         res = run_cli("finite-check", "--max-domain", "3", "--max-codomain", "3")
         assert res.returncode == 0
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert report["theorem1_counterexamples"] == 0
         assert report["theorem2_disagreements"] == 0
         assert report["theorem1_maps_checked"] == 3 + 9 + 27 + 2 + 4 + 8 + 1 + 1 + 1
 
     def test_trivial_domain(self):
         res = run_cli("finite-check", "--max-domain", "1", "--max-codomain", "1")
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert report["theorem1_counterexamples"] == 0
         assert report["theorem1_maps_checked"] == 1
 
@@ -725,7 +755,7 @@ class TestFiniteCheck:
     def test_closed_form_counts_5_5(self):
         res = run_cli("finite-check", "--max-domain", "5", "--max-codomain", "5")
         assert res.returncode == 0
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         # sum over d, c <= 5 of c**d tables, and the sum over d of its square
         assert report["theorem1_maps_checked"] == 5699
         assert report["theorem1_counterexamples"] == 0
@@ -741,7 +771,7 @@ class TestFiniteCheck:
     def test_single_map_mode(self):
         res = run_cli("finite-check", "--map", "4 3 : 0,1,1,2", "--param", "4 2 : 0,0,1,1")
         assert res.returncode == 0
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert report["injective"] is False
         assert report["estimator_exists"] is False
         assert report["parameter_identifiable_standard"] is False
@@ -756,13 +786,13 @@ class TestFiniteCheck:
 
     def test_one_bound_keeps_the_other_default(self):
         res = run_cli("finite-check", "--max-domain", "2")
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert (report["max_domain"], report["max_codomain"]) == (2, 4)
         assert report["theorem1_maps_checked"] == sum(c**d for d in (1, 2) for c in range(1, 5))
 
     def test_single_injective_map(self):
         res = run_cli("finite-check", "--map", "2 3 : 0,1")
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert report["injective"] is True
         assert report["estimator"] == "3 2 : 0,1,0"
 
@@ -798,7 +828,7 @@ class TestOutputRouting:
         assert plain.stderr == routed.stderr == ""
         # a table comes first and the JSON report starts on a line "{"
         split = plain.stdout.index("\n{\n") + 1 if has_table else len(plain.stdout)
-        assert json.loads(plain.stdout[split:] or plain.stdout)
+        assert strict_json(plain.stdout[split:] or plain.stdout)
         assert (workdir / "out.txt").read_text() == plain.stdout[:split]
         assert routed.stdout == plain.stdout[split:]
 
@@ -834,13 +864,13 @@ class TestExitCodeContract:
         max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     @given(text=st.binary(max_size=64))
-    def test_any_file_exits_0_2_or_3(self, tmp_path, text):
+    def test_any_file_exits_0_2_or_3(self, tmp_path, capsys, text):
         # in process, so an exception that escapes run fails the test itself
         path = tmp_path / "any.csv"
         path.write_bytes(text)
         f = str(path)
         for args in (["analyze", f], ["solve", f, f], ["influence", f, "--probes", "1:2:3"]):
-            assert run(args) in (0, 2, 3)
+            assert run_in_process(args, capsys) in (0, 2, 3)
 
     # any probe range of positive floats, over 2 or 3 atoms with locations
     # or weights near the top of the float range
@@ -876,13 +906,13 @@ class TestExitCodeContract:
         ends=[1e307, 5e307], count=11, atoms=[(-1.7e308, 0.9), (1.7e308, 0.1)], functional="mean"
     )
     def test_influence_over_the_float_range_exits_0_2_or_3(
-        self, tmp_path, ends, count, atoms, functional
+        self, tmp_path, capsys, ends, count, atoms, functional
     ):
         path = tmp_path / "atoms.csv"
         path.write_text("".join(f"{x!r},{w!r}\n" for x, w in atoms))
         probes = f"{ends[0]!r}:{ends[1]!r}:{count}"
         args = ["influence", str(path), "--functional", functional, "--probes", probes]
-        assert run(args) in (0, 2, 3)
+        assert run_in_process(args, capsys) in (0, 2, 3)
 
 
 def numpy_free_run(*args):
@@ -921,7 +951,7 @@ class TestNumpyFree:
     def test_finite_check(self, args):
         res = numpy_free_run(*args)
         assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout)
+        assert strict_json(res.stdout)
 
     def test_finite_check_error_path(self):
         res = numpy_free_run("finite-check", "--max-domain", "6")
@@ -936,7 +966,7 @@ class TestNumpyFree:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.startswith("probe,influence\n")
-        assert json.loads(res.stdout[res.stdout.index("{"):])["functional"] == functional
+        assert strict_json(res.stdout[res.stdout.index("{"):])["functional"] == functional
 
     @pytest.mark.parametrize(
         "dist, probes, code, message",

@@ -86,7 +86,7 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("1.0,0.25\n3.0,0.75\n")
         dist = read_distribution_csv(str(path))
-        assert dist.atoms == ((1.0, 0.25), (3.0, 0.75))
+        assert tuple(zip(dist.locations, dist.weights)) == ((1.0, 0.25), (3.0, 0.75))
 
     def test_information_separators_are_whitespace(self, tmp_path):
         # numpy strips U+001C-U+001F around a field, and so does the line parser

@@ -297,7 +297,7 @@ class TestSections:
     @given(finite_maps(max_domain=4, max_codomain=4))
     def test_restrict_to_range_surjective(self, q):
         q_onto = restrict_to_range(q)
-        assert q_onto.image() == frozenset(range(q_onto.codomain_size))
+        assert frozenset(q_onto.table) == frozenset(range(q_onto.codomain_size))
 
 
 class TestKernelPartitionSweep:

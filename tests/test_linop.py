@@ -53,6 +53,16 @@ class TestSvd:
         with pytest.raises(InvalidInputError, match="^singular values must be nonincreasing$"):
             SvdFactors(np.eye(2), np.array([1.0, 2.0]), np.eye(2), 0.0, np.array([]))
 
+    def test_factors_leave_the_callers_arrays_alone(self):
+        arrays = (np.eye(2), np.array([2.0, 1.0]), np.eye(2), np.zeros(0))
+        f = SvdFactors(arrays[0], arrays[1], arrays[2], 0.0, arrays[3])
+        fields = (f.left_vectors, f.singular_values, f.right_vectors, f.discarded)
+        for mine, field in zip(arrays, fields):
+            assert mine.flags.writeable and field is not mine
+            assert not field.flags.writeable
+        arrays[0][0, 0] = 7.0
+        assert f.left_vectors[0, 0] == 1.0
+
     def test_identity_spectrum(self):
         f = svd(DenseOperator(np.eye(3)))
         assert np.allclose(f.singular_values, [1, 1, 1])
@@ -312,6 +322,14 @@ class TestSharedFactorization:
         assert svd_kinds(calls) == ["values", "thin"]
         assert np.array_equal(np.concatenate([f.singular_values, f.discarded]), report.spectrum)
         assert a._factors[1] is a._spectrum
+
+    def test_diagnose_after_null_space_reuses_its_values(self, monkeypatch):
+        a = random_full_rank(6, 6)
+        calls = count_lapack_svd(monkeypatch)
+        null_space(a)
+        diagnostics.diagnose(a)
+        assert svd_kinds(calls) == ["thin"]
+        assert a._spectrum is a._factors[1]
 
     def test_analyze_with_param_factors_once(self, monkeypatch, tmp_path, capsys):
         a, q = tmp_path / "a.csv", tmp_path / "q.csv"

@@ -62,7 +62,7 @@ def test_influence_profile_without_numpy():
     code = (
         "import sys\n"
         "from illposed import EmpiricalDistribution, influence_profile, MEAN\n"
-        "f = EmpiricalDistribution.from_atoms([(-1.0, 0.5), (1.0, 0.5)])\n"
+        "f = EmpiricalDistribution([-1.0, 1.0], [0.5, 0.5])\n"
         "profile = influence_profile(MEAN, f, [-2.0, 0.0, 2.0])\n"
         "assert profile.values == (-2.0, 0.0, 2.0)\n"
         "assert profile.asymptotic_variance == 1.0\n"

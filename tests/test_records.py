@@ -141,4 +141,4 @@ def test_keyword_construction():
     assert FiniteMap(domain_size=1, codomain_size=2, table=[1]) == FiniteMap(1, 2, (1,))
     assert FunctionalKind(kind=Functional.MEDIAN, trim_fraction=None).kind is Functional.MEDIAN
     dist = EmpiricalDistribution(locations=(1.0,), weights=(1.0,))
-    assert dist.atoms == ((1.0, 1.0),)
+    assert tuple(zip(dist.locations, dist.weights)) == ((1.0, 1.0),)

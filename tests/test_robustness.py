@@ -25,11 +25,11 @@ from illposed.robustness import (
     trimmed_mean,
 )
 
-UNIFORM9 = EmpiricalDistribution.from_atoms([(float(k), 1 / 9) for k in range(1, 10)])
+UNIFORM9 = EmpiricalDistribution([float(k) for k in range(1, 10)], [1 / 9] * 9)
 
 
 def dist(*atoms):
-    return EmpiricalDistribution.from_atoms(atoms)
+    return EmpiricalDistribution([a[0] for a in atoms], [a[1] for a in atoms])
 
 
 def ladder_influence(t, f, y):
@@ -82,7 +82,7 @@ class TestEmpiricalDistribution:
 
     def test_atoms_sorted_by_location(self):
         d = dist((3.0, 0.25), (1.0, 0.5), (2.0, 0.25))
-        assert d.atoms == ((1.0, 0.5), (2.0, 0.25), (3.0, 0.25))
+        assert tuple(zip(d.locations, d.weights)) == ((1.0, 0.5), (2.0, 0.25), (3.0, 0.25))
 
     @pytest.mark.parametrize(
         "locations, weights",
@@ -103,10 +103,6 @@ class TestEmpiricalDistribution:
     def test_malformed_input_is_invalid(self, locations, weights):
         with pytest.raises(InvalidInputError):
             EmpiricalDistribution(locations, weights)
-
-    def test_empty_atoms_rejected(self):
-        with pytest.raises(InvalidInputError):
-            EmpiricalDistribution.from_atoms([])
 
     def test_tied_locations_keep_the_stable_argsort_order(self):
         rng = np.random.default_rng(5)
@@ -162,6 +158,19 @@ class TestEvaluate:
             evaluate(MEAN, UNIFORM9)
         )
 
+    def test_trimmed_mean_past_the_float_range_fails(self):
+        # the kept sum is finite; dividing it by 1 - 2 alpha passes the float range
+        top = 1.7976931348623157e308
+        f = EmpiricalDistribution([top, top], [0.5, 0.5 + 1e-13])
+        with pytest.raises(NumericalFailureError, match="^the functional overflows the float"):
+            evaluate(trimmed_mean(0.25), f)
+
+    def test_mean_is_the_exact_weighted_sum(self):
+        f = dist((0.1, 0.25), (0.7, 0.5), (1e16, 0.25))
+        want = math.fsum(x * w for x, w in zip(f.locations, f.weights))
+        assert evaluate(MEAN, f) == want
+        assert evaluate(trimmed_mean(0.0), f) == want
+
     def test_mean_past_the_float_range_fails(self):
         # weights sum to 1 + 9e-13, inside the tolerance, so the mean overflows
         top = 1.7976931348623157e308
@@ -173,7 +182,7 @@ class TestEvaluate:
 class TestContaminate:
     def test_two_point_mixture(self):
         q = contaminate(dist((0.0, 1.0)), 0.5, 1.0)
-        assert q.atoms == ((0.0, 0.5), (1.0, 0.5))
+        assert tuple(zip(q.locations, q.weights)) == ((0.0, 0.5), (1.0, 0.5))
 
     def test_merges_existing_atom(self):
         q = contaminate(dist((0.0, 0.5), (1.0, 0.5)), 0.2, 1.0)
@@ -197,7 +206,7 @@ class TestContaminate:
         # TV distance between F and (1-eps) F + eps delta_y for y outside F
         tv = 0.5 * (0.5 * eps + 0.5 * eps + eps)
         assert tv == pytest.approx(eps)
-        assert sum(w for _, w in q.atoms) == pytest.approx(1.0)
+        assert sum(w for _, w in zip(q.locations, q.weights)) == pytest.approx(1.0)
 
     @given(distributions(), st.floats(1e-3, 0.99), st.floats(-50, 50))
     def test_mean_linearity(self, f, eps, y):
