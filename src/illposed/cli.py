@@ -148,11 +148,11 @@ def _cmd_solve(args) -> tuple[str | None, dict]:
     else:
         parameter, x = None, regularization.tikhonov_solve(a, d, 0.0)
 
+    residual, norm = math.hypot(*(a.matrix @ x - d).tolist()), math.hypot(*x.tolist())
+    if not (math.isfinite(residual) and math.isfinite(norm)):  # each alone: their sum may overflow
+        raise NumericalFailureError("the residual or the solution norm overflows the float range")
     return vector_to_csv(x), {
-        "method": method,
-        "parameter": parameter,
-        "residual": math.hypot(*(a.matrix @ x - d).tolist()),
-        "solution_norm": math.hypot(*x.tolist()),
+        "method": method, "parameter": parameter, "residual": residual, "solution_norm": norm,
     }
 
 
@@ -176,7 +176,7 @@ def _cmd_fredholm_demo(args) -> tuple[str | None, dict]:
         fredholm.solve_unregularized(problem),
         fredholm.analytic_perturbed_solution(grid, args.n_osc),
     ]
-    summary = dict(vars(result))
+    summary = dict(zip(result._fields, result._values()))
     if args.lam is not None or args.noise is not None:
         lam, regularized = _tikhonov(args, problem.operator, rhs)
         header.append("f_regularized")

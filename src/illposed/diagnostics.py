@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .linop import DenseOperator, _numerical_rank, _vector, svd
+from .records import Record, ValueRecord
 from .regularization import tikhonov_solve
 
 
@@ -28,8 +28,7 @@ class Classification(str, enum.Enum):
 DEFAULT_KAPPA_THRESHOLD = 1e8
 
 
-@dataclass(frozen=True, eq=False)
-class DiagnosisReport:
+class DiagnosisReport(Record):
     """Outcome of :func:`diagnose` plus the numerical evidence.
 
     ``stability_constant`` is the smallest retained singular value: the
@@ -38,31 +37,18 @@ class DiagnosisReport:
     (None when fewer than four positive singular values exist).
     """
 
-    identifiable: bool
-    numerical_rank: int
-    sigma_max: float
-    sigma_min: float
-    condition_number: float
-    stability_constant: float
-    classification: Classification
-    spectrum: tuple[float, ...]
-    decay_exponent: float | None
+    __slots__ = ("identifiable", "numerical_rank", "sigma_max", "sigma_min", "condition_number",
+                 "stability_constant", "classification", "spectrum", "decay_exponent")
 
     def to_dict(self) -> dict:
-        return {
-            **vars(self),
-            "classification": self.classification.value,
-            "spectrum": list(self.spectrum),
-        }
+        fields = zip(self._fields, self._values())
+        return dict(fields, classification=self.classification.value, spectrum=list(self.spectrum))
 
 
-@dataclass(frozen=True)
-class StabilityBound:
+class StabilityBound(ValueRecord):
     """One evaluation of the relative-error stability inequality."""
 
-    lhs: float
-    rhs: float
-    holds: bool
+    __slots__ = ("lhs", "rhs", "holds")
 
 
 def diagnose(

@@ -16,24 +16,24 @@ condition number is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .linop import DenseOperator, _freeze, _vector
+from .records import Record, ValueRecord
 
 
-@dataclass(frozen=True, eq=False)
-class Grid:
+class Grid(Record):
     """Uniform right-endpoint grid y_i = i/n, i = 1..n, on [0, 1]."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError(f"grid size must be >= 1, got {self.n}")
+    def __init__(self, n: int):
+        if n < 1:
+            raise InvalidInputError(f"grid size must be >= 1, got {n}")
+        super().__init__(n)
 
     @property
     def h(self) -> float:
@@ -44,22 +44,19 @@ class Grid:
         return np.arange(1, self.n + 1) * self.h
 
 
-@dataclass(frozen=True, eq=False)
-class FredholmProblem:
+class FredholmProblem(Record):
     """The cumulative-integration equation K f = F on a grid.
 
     ``operator`` is :func:`heaviside_operator` of the grid size, built on
     first read and cached; the unregularized solve never reads it.
     """
 
-    grid: Grid
-    rhs: np.ndarray
+    __slots__ = ("grid", "rhs", "__dict__")  # the dict holds the cached operator
 
-    def __post_init__(self):
-        n = self.grid.n
-        if n < 2:
-            raise InvalidInputError(f"need n >= 2 grid points, got {n}")
-        object.__setattr__(self, "rhs", _freeze(_vector(self.rhs, n, "rhs").copy()))
+    def __init__(self, grid: Grid, rhs):
+        if grid.n < 2:
+            raise InvalidInputError(f"need n >= 2 grid points, got {grid.n}")
+        super().__init__(grid, _freeze(_vector(rhs, grid.n, "rhs").copy()))
 
     @cached_property
     def operator(self) -> DenseOperator:
@@ -172,14 +169,10 @@ def solve_unregularized(problem: FredholmProblem) -> np.ndarray:
     return np.diff(problem.rhs, prepend=0.0) / problem.grid.h
 
 
-@dataclass(frozen=True)
-class InstabilityResult:
+class InstabilityResult(ValueRecord):
     """Measured input and output deviations of one perturbation experiment."""
 
-    rhs_dev: float
-    sol_dev: float
-    amplification: float
-    delta: float
+    __slots__ = ("rhs_dev", "sol_dev", "amplification", "delta")
 
 
 def run_instability_experiment(n: int, n_osc: int) -> InstabilityResult:
@@ -208,12 +201,10 @@ def run_instability_experiment(n: int, n_osc: int) -> InstabilityResult:
     )
 
 
-@dataclass(frozen=True)
-class DensityCheck:
+class DensityCheck(ValueRecord):
     """Mass and positivity evidence for a candidate conditional density."""
 
-    integral: float
-    min_value: float
+    __slots__ = ("integral", "min_value")
 
 
 def density_constraints_check(f: np.ndarray, grid: Grid) -> DensityCheck:

@@ -15,12 +15,12 @@ tests built on top of that one cached factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
+from .records import Record
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -44,15 +44,18 @@ def _vector(x, n: int, name: str) -> np.ndarray:
 
 
 def _lapack_svd(matrix: np.ndarray, **kwargs):
-    """``numpy.linalg.svd``, with LAPACK non-convergence as NumericalFailureError."""
+    """``numpy.linalg.svd``, with LAPACK non-convergence and a largest singular
+    value past the float range as NumericalFailureError."""
     try:
-        return np.linalg.svd(matrix, **kwargs)
+        out = np.linalg.svd(matrix, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
+    if not math.isfinite((out[1] if isinstance(out, tuple) else out)[0]):
+        raise NumericalFailureError("the largest singular value overflows the float range")
+    return out
 
 
-@dataclass(frozen=True, eq=False)
-class DenseOperator:
+class DenseOperator(Record):
     """Immutable m x n real matrix with finite entries.
 
     Parameters
@@ -62,17 +65,17 @@ class DenseOperator:
         array that owns its memory is adopted as is; anything else is copied.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("matrix", "__dict__")  # the dict holds the cached factorization
 
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix):
+        a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.size == 0:
             raise InvalidInputError(f"operator must be a nonempty 2-D matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("operator entries must be finite (no NaN/Inf)")
         if a.flags.writeable or not a.flags.owndata:
             a = a.copy()
-        object.__setattr__(self, "matrix", _freeze(a))
+        super().__init__(_freeze(a))
 
     @property
     def rows(self) -> int:
@@ -105,8 +108,7 @@ class DenseOperator:
         return _freeze(u), _freeze(s), _freeze(vt.T)
 
 
-@dataclass(frozen=True, eq=False)
-class SvdFactors:
+class SvdFactors(Record):
     """Rank-truncated singular value decomposition.
 
     ``left_vectors`` (rows x r) and ``right_vectors`` (cols x r) have
@@ -116,18 +118,15 @@ class SvdFactors:
     stays visible.
     """
 
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-    rank_tolerance: float
-    discarded: np.ndarray
+    __slots__ = ("left_vectors", "singular_values", "right_vectors", "rank_tolerance", "discarded")
 
-    def __post_init__(self):
-        for name in ("left_vectors", "singular_values", "right_vectors", "discarded"):
-            x = np.asarray(getattr(self, name), dtype=float)  # a caller's array stays its own
-            object.__setattr__(self, name, _freeze(x.copy() if x.flags.writeable else x))
-        if np.any(np.diff(self.singular_values) > 0):
+    def __init__(self, left_vectors, singular_values, right_vectors, rank_tolerance, discarded):
+        arrays = (left_vectors, singular_values, right_vectors, discarded)
+        arrays = [np.asarray(x, dtype=float) for x in arrays]  # a caller's array stays its own
+        u, s, v, tail = [_freeze(x.copy() if x.flags.writeable else x) for x in arrays]
+        if np.any(np.diff(s) > 0):
             raise InvalidInputError("singular values must be nonincreasing")
+        super().__init__(u, s, v, rank_tolerance, tail)
 
     @property
     def rank(self) -> int:

@@ -266,11 +266,6 @@ class InfluenceProfile(Record):
     __slots__ = ("probe_points", "values", "gross_error_sensitivity", "unbounded_flag",
                  "asymptotic_variance")
 
-    def __init__(self, probe_points: tuple[float, ...], values: tuple[float, ...],
-                 gross_error_sensitivity: float, unbounded_flag: bool, asymptotic_variance: float):
-        super().__init__(probe_points, values, gross_error_sensitivity, unbounded_flag,
-                         asymptotic_variance)
-
 
 def influence_profile(
     t: FunctionalKind, f: EmpiricalDistribution, probe_points
@@ -338,9 +333,6 @@ class AttackResult(ValueRecord):
     """Witness contamination that drives the mean to a requested target."""
 
     __slots__ = ("y", "achieved", "distance")
-
-    def __init__(self, y: float, achieved: float, distance: float):
-        super().__init__(y, achieved, distance)
 
 
 def sensitivity_attack(f: EmpiricalDistribution, eps: float, target: float) -> AttackResult:

@@ -14,7 +14,10 @@ from illposed.cli import _parse_probes, run
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 # children treat warnings as errors, as pyproject.toml does in process
-PYTHON = [sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning"]
+PYTHON = [
+    sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
+    "-W", "error::DeprecationWarning", "-W", "error::PendingDeprecationWarning",
+]
 
 
 def run_cli(*args, cwd=None):
@@ -177,6 +180,27 @@ class TestAnalyze:
         assert res.returncode == 2
         assert res.stdout == ""
         assert message in res.stderr
+
+    @pytest.mark.parametrize(
+        "rows, param",
+        [
+            # 2.54e308 times an orthogonal matrix: kappa = 1, but sigma_1 = inf
+            # left no singular value above rtol * sigma_1 (rank 0, exit 0)
+            ("1.797e308,1.797e308\n1.797e308,-1.797e308\n", None),
+            # the parameter map's norm overflowed, so every |q N| passed as 0
+            ("1,0\n", "1.797e308,1.797e308\n"),
+        ],
+        ids=["operator", "param"],
+    )
+    def test_largest_singular_value_past_the_range_exit_3(self, tmp_path, rows, param):
+        (tmp_path / "a.csv").write_text(rows)
+        flags = []
+        if param is not None:
+            (tmp_path / "q.csv").write_text(param)
+            flags = ["--param", "q.csv"]
+        res = run_cli("analyze", "a.csv", *flags, cwd=tmp_path)
+        assert_one_error_line(res, 3)
+        assert "the largest singular value overflows the float range" in res.stderr
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -409,6 +433,26 @@ class TestSolve:
         assert res.stderr == ""
         x = [float(v) for v in res.stdout.splitlines()[:2]]
         assert x == pytest.approx([1e-200, 1e-199], rel=1e-15, abs=0)
+
+    def test_largest_singular_value_past_the_range_exit_3(self, tmp_path):
+        # sigma_1 = inf kept no singular value, so x = (0, 0) where it is (0, 1)
+        (tmp_path / "a.csv").write_text("0,1.797e308\n1e308,1.797e308\n")
+        (tmp_path / "d.csv").write_text("1.797e308\n1.797e308\n")
+        res = run_cli("solve", "a.csv", "d.csv", cwd=tmp_path)
+        assert_one_error_line(res, 3)
+        assert "the largest singular value overflows the float range" in res.stderr
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--method", "tikhonov", "--lambda", "1e300"], []],
+        ids=["residual", "solution-norm"],
+    )
+    def test_norm_past_the_range_exit_3(self, workdir, flags):
+        # each printed as "unbounded" with exit 0
+        (workdir / "d.csv").write_text("1.797e308\n1.797e308\n")
+        res = run_cli("solve", "identity.csv", "d.csv", *flags, cwd=workdir)
+        assert_one_error_line(res, 3)
+        assert "the residual or the solution norm overflows the float range" in res.stderr
 
     def test_discrepancy_on_data_whose_projection_overflows(self, workdir):
         # U^T d = 1.5e308 * sqrt(3) leaves the float range; the residual is
@@ -993,6 +1037,28 @@ class TestNumpyFree:
 STARTUP_FREE = ("numpy", "dataclasses", "inspect", "json")
 
 
+def loaded_modules(workdir, args, watched):
+    """The stderr line ``loaded: ...`` naming each watched module a CLI child
+    loads beyond what a bare interpreter holds, so a site hook that imports
+    one of them cannot fail a test; asserts the child exits 0."""
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "from illposed.cli import run\n"
+        "status = run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+        f"loaded = [m for m in {watched!r} if m in sys.modules and m not in bare]\n"
+        "print('loaded:', *loaded, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    res = subprocess.run(
+        [*PYTHON, "-c", code, *args],
+        capture_output=True, text=True, cwd=workdir,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stderr
+
+
 class TestStartupImports:
     @pytest.mark.parametrize(
         "args",
@@ -1008,24 +1074,20 @@ class TestStartupImports:
         ids=["import-cli", "sweep", "map-param", "mean", "median", "trimmed"],
     )
     def test_loads_none_of_the_costly_modules(self, workdir, args):
-        # counts only modules a bare interpreter does not hold already, so a
-        # site hook that imports one of them cannot fail the test
-        code = (
-            "import sys\n"
-            "bare = set(sys.modules)\n"
-            "from illposed.cli import run\n"
-            "status = run(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
-            f"loaded = [m for m in {STARTUP_FREE!r} if m in sys.modules and m not in bare]\n"
-            "print('loaded:', *loaded, file=sys.stderr)\n"
-            "sys.exit(status)\n"
-        )
-        res = subprocess.run(
-            [*PYTHON, "-c", code, *args],
-            capture_output=True, text=True, cwd=workdir,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
-        )
-        assert res.returncode == 0, res.stderr
-        assert res.stderr == "loaded:\n"
+        assert loaded_modules(workdir, args, STARTUP_FREE) == "loaded:\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", "identity.csv", "--param", "param_x.csv"],
+            ["solve", "identity.csv", "data2.csv", "--method", "tikhonov", "--lambda", "0.1"],
+            ["fredholm-demo", "--n", "100", "--n-osc", "1", "--lambda", "1e-3"],
+        ],
+        ids=["analyze", "solve", "fredholm-demo"],
+    )
+    def test_numpy_subcommands_load_no_dataclasses(self, workdir, args):
+        # numpy itself does not load dataclasses; every record is a records.Record
+        assert loaded_modules(workdir, args, ("dataclasses",)) == "loaded:\n"
 
     @pytest.mark.parametrize("above", [False, True], ids=["below-floor", "above-floor"])
     @pytest.mark.parametrize("command", ["analyze", "solve"])

@@ -31,7 +31,10 @@ from illposed.fileio import (
 RNG = np.random.default_rng(99)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # children treat warnings as errors, as pyproject.toml does in process
-PYTHON = [sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning"]
+PYTHON = [
+    sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
+    "-W", "error::DeprecationWarning", "-W", "error::PendingDeprecationWarning",
+]
 FINITE_MATRICES = arrays(
     np.float64,
     array_shapes(min_dims=2, max_dims=2, max_side=5),

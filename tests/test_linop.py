@@ -347,6 +347,27 @@ class TestSharedFactorization:
             with pytest.raises(NumericalFailureError, match="did not converge"):
                 fn(DenseOperator(np.eye(3)))
 
+    @pytest.mark.parametrize("stage", ["_spectrum", "_factors"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.797e308, 1.797e308], [1.797e308, -1.797e308]],  # kappa = 1
+            [[0.0, 1.797e308], [1e308, 1.797e308]],
+            [[1.797e308, 1.797e308]],  # wide: V is complete
+        ],
+        ids=["orthogonal", "square", "wide"],
+    )
+    def test_largest_singular_value_past_the_range(self, rows, stage):
+        # LAPACK returns sigma_1 = inf, which the rank test reads as rank 0
+        a = DenseOperator(rows)
+        with pytest.raises(NumericalFailureError, match="largest singular value overflows"):
+            getattr(a, stage)
+        assert "_spectrum" not in vars(a) and "_factors" not in vars(a)
+
+    def test_largest_singular_value_at_the_top_of_the_range(self):
+        s = DenseOperator([[1.797e308, 0.0], [0.0, 1.0]])._spectrum
+        assert s.tolist() == [1.797e308, 1.0]
+
     def test_parameter_norm_failure_is_numerical_failure(self, monkeypatch):
         # ||q|| comes from q's cached spectrum, so its LAPACK failure maps too
         p, q = DenseOperator([[1.0, 1.0]]), DenseOperator([[1.0, 0.0]])

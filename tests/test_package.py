@@ -8,7 +8,10 @@ import illposed
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 # children treat warnings as errors, as pyproject.toml does in process
-PYTHON = [sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning"]
+PYTHON = [
+    sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
+    "-W", "error::DeprecationWarning", "-W", "error::PendingDeprecationWarning",
+]
 
 MODULES = ("diagnostics", "errors", "finite_maps", "fredholm", "linop", "regularization",
            "robustness")

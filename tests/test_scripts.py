@@ -8,7 +8,10 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # children treat warnings as errors, as pyproject.toml does in process
-PYTHON = [sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning"]
+PYTHON = [
+    sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
+    "-W", "error::DeprecationWarning", "-W", "error::PendingDeprecationWarning",
+]
 
 
 @pytest.mark.parametrize(
