@@ -13,28 +13,6 @@ PYTHON = [
     "-W", "error::DeprecationWarning", "-W", "error::PendingDeprecationWarning",
 ]
 
-MODULES = ("diagnostics", "errors", "finite_maps", "fredholm", "linop", "regularization",
-           "robustness")
-
-
-def test_every_exported_name_resolves():
-    for name in illposed.__all__:
-        assert getattr(illposed, name) is not None
-
-
-def test_names_are_the_submodule_objects():
-    modules = [getattr(illposed, name) for name in MODULES]
-    for name in illposed.__all__:
-        assert any(vars(m).get(name) is getattr(illposed, name) for m in modules), name
-
-
-def test_star_import():
-    namespace = {}
-    exec("from illposed import *", namespace)
-    assert set(illposed.__all__) <= set(namespace)
-    assert namespace["diagnose"] is illposed.diagnostics.diagnose
-
-
 def test_unknown_attribute():
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         illposed.not_a_name
@@ -43,15 +21,14 @@ def test_unknown_attribute():
 
 
 def test_dir_lists_exports():
-    assert set(illposed.__all__) <= set(dir(illposed))
     assert "__version__" in dir(illposed)
 
 
 def test_finite_maps_import_without_numpy():
     code = (
-        "import sys, illposed\n"
-        "assert illposed.finite_maps.FiniteMap is illposed.FiniteMap\n"
-        "from illposed import FiniteMap, fisher_consistent_estimator, InvalidInputError\n"
+        "import sys\n"
+        "from illposed.errors import InvalidInputError\n"
+        "from illposed.finite_maps import FiniteMap, fisher_consistent_estimator\n"
         "assert fisher_consistent_estimator(FiniteMap(2, 3, (0, 1))) is not None\n"
         "sys.exit('numpy' in sys.modules)\n"
     )
@@ -64,7 +41,7 @@ def test_finite_maps_import_without_numpy():
 def test_influence_profile_without_numpy():
     code = (
         "import sys\n"
-        "from illposed import EmpiricalDistribution, influence_profile, MEAN\n"
+        "from illposed.robustness import MEAN, EmpiricalDistribution, influence_profile\n"
         "f = EmpiricalDistribution([-1.0, 1.0], [0.5, 0.5])\n"
         "profile = influence_profile(MEAN, f, [-2.0, 0.0, 2.0])\n"
         "assert profile.values == (-2.0, 0.0, 2.0)\n"
@@ -75,3 +52,46 @@ def test_influence_profile_without_numpy():
         [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
     )
     assert res.returncode == 0
+
+
+def test_package_root_binds_no_public_name():
+    code = (
+        "import sys, illposed\n"
+        "public = [name for name in vars(illposed) if not name.startswith('_')]\n"
+        "assert public == [], public\n"
+        "assert not hasattr(illposed, 'diagnose')\n"
+        "loaded = [name for name in sys.modules if name.startswith('illposed.')]\n"
+        "assert loaded == [], loaded\n"
+    )
+    res = subprocess.run(
+        [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+    )
+    assert res.returncode == 0
+
+
+def test_star_import():
+    code = (
+        "import sys\n"
+        "namespace = {}\n"
+        "exec('from illposed import *', namespace)\n"
+        "bound = sorted(name for name in namespace if name != '__builtins__')\n"
+        "assert bound == [], bound\n"
+        "loaded = [name for name in sys.modules if name.startswith('illposed.')]\n"
+        "assert loaded == [], loaded\n"
+    )
+    res = subprocess.run(
+        [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+    )
+    assert res.returncode == 0
+
+
+def test_readme_library_example():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    res = subprocess.run(
+        [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        capture_output=True, text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "ILL_CONDITIONED\n327\nFalse\nTrue\n"
