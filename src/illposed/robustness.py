@@ -6,9 +6,9 @@ Along that path the mean is linear, the trimmed mean piecewise linear and
 the median piecewise constant, so the derivative has a closed form.  A
 median that jumps at eps -> 0+ has none; it raises NumericalFailureError,
 as does a functional, an influence value or the asymptotic variance past
-the float range.  How |IF| grows over the probes separates functionals
-that any data perturbation can hijack (the mean) from those that saturate
-(median, trimmed mean).
+the float range.  Whether |IF| is bounded is a property of the functional
+alone: it separates those that any data perturbation can hijack (the mean)
+from those that saturate (median, trimmed mean).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, compress, repeat
-from operator import itemgetter, mul, ne, sub
+from itertools import accumulate, chain, groupby, islice
+from operator import eq, itemgetter, mul
 
 from .errors import InvalidInputError, NumericalFailureError
 from .records import Record, ValueRecord
@@ -69,7 +69,9 @@ class EmpiricalDistribution(Record):
     """Weighted point masses on the real line, held as tuples sorted by location.
 
     Weights must be positive and sum to 1 within 1e-12 (by ``math.fsum``).
-    Atoms at one location keep their input order.
+    There is one atom per location: rows at one location merge into one
+    atom whose weight is their ``math.fsum``, so every result depends on
+    the distribution alone, not on how its rows were written.
     """
 
     __slots__ = ("locations", "weights")
@@ -89,8 +91,13 @@ class EmpiricalDistribution(Record):
             total = math.inf
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise InvalidInputError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
-        atoms = sorted(zip(loc, w), key=itemgetter(0))  # stable: ties keep their order
-        super().__init__(tuple(map(itemgetter(0), atoms)), tuple(map(itemgetter(1), atoms)))
+        atoms = sorted(zip(loc, w), key=itemgetter(0))
+        loc = tuple(map(itemgetter(0), atoms))
+        if any(map(eq, loc, islice(loc, 1, None))):  # only a tie builds a second list
+            runs = groupby(atoms, itemgetter(0))
+            atoms = [(x, math.fsum(map(itemgetter(1), run))) for x, run in runs]
+            loc = tuple(map(itemgetter(0), atoms))
+        super().__init__(loc, tuple(map(itemgetter(1), atoms)))
 
 
 def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
@@ -127,19 +134,15 @@ def _median_index(cum: list[float]) -> int:
 def contaminate(f: EmpiricalDistribution, eps: float, y: float) -> EmpiricalDistribution:
     """Mixture (1 - eps) F + eps * (point mass at y).
 
-    The new atom is merged with an existing one at exactly the same
-    location; weights still sum to 1.
+    A y that is already a location adds eps to that atom's weight (the
+    constructor merges the two); weights still sum to 1.
     """
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"eps must lie in (0, 1), got {eps}")
     if not math.isfinite(y):
         raise InvalidInputError(f"contamination location must be finite, got {y}")
-    loc = f.locations
     w = [v * (1.0 - eps) for v in f.weights]
-    if y in loc:
-        w[loc.index(y)] += eps
-        return EmpiricalDistribution(loc, w)
-    return EmpiricalDistribution(loc + (y,), w + [eps])
+    return EmpiricalDistribution(f.locations + (y,), w + [eps])
 
 
 def influence_function(t: FunctionalKind, f: EmpiricalDistribution, y: float) -> float:
@@ -213,12 +216,10 @@ def _trimmed_influence_over(alpha: float, f: EmpiricalDistribution):
     scale = 1.0 - 2.0 * alpha
 
     def values(ys):
-        if ys is loc:  # the atoms: each run of tied atoms splits as one y
-            cuts = [0, *compress(range(1, len(loc)), map(ne, loc, loc[1:])), len(loc)]
-            runs = [
-                (below[i] + (at[j] - at[i]) + above[j]) / scale for i, j in zip(cuts, cuts[1:])
+        if ys is loc:  # the atoms, one per location: atom i splits at i and i + 1
+            return [
+                (b + (a1 - a0) + ab) / scale for b, a0, a1, ab in zip(below, at, at[1:], above[1:])
             ]
-            return list(chain.from_iterable(map(repeat, runs, map(sub, cuts[1:], cuts))))
         out = []
         for y in ys:
             left, right = bisect_left(loc, y), bisect_right(loc, y)
@@ -258,9 +259,10 @@ def _kept_slopes(hi: float, lo: float, alpha: float) -> tuple[float, float, floa
 class InfluenceProfile(Record):
     """Influence values over probe points plus the derived sensitivity summary.
 
-    ``gross_error_sensitivity`` is +inf when ``unbounded_flag`` is set; the
-    flag certifies growth of |IF| across the probe range rather than a
-    literal supremum over the whole line.
+    ``unbounded_flag`` says whether |IF| is unbounded over the whole line,
+    which is a property of the functional.  ``gross_error_sensitivity`` is
+    +inf when it is set, and otherwise the maximum |IF| over the probes,
+    not the supremum over the whole line.
     """
 
     __slots__ = ("probe_points", "values", "gross_error_sensitivity", "unbounded_flag",
@@ -270,13 +272,16 @@ class InfluenceProfile(Record):
 def influence_profile(
     t: FunctionalKind, f: EmpiricalDistribution, probe_points
 ) -> InfluenceProfile:
-    """Influence function over sorted probes, with growth and variance summaries.
+    """Influence function over sorted probes, with sensitivity and variance summaries.
 
-    The unbounded flag is set when |IF| grows at least linearly in |y| over
-    the outer 20% of probe magnitudes (least-squares slope > 0.5).  The
-    asymptotic variance integrates IF^2 against the distribution itself.
-    The atoms are sorted once, so p probes over m atoms cost
-    O((m + p) log m) rather than one O(m) call per point.
+    The unbounded flag is set for the mean and a trimmed mean that trims
+    nothing, whose influence y - mean(F) is unbounded in y.  The median and
+    a trimmed mean with trim_fraction > 0 are monotone in the data and
+    saturate, so their influence is bounded; for them the gross-error
+    sensitivity is the maximum |IF| over the probes.  The asymptotic
+    variance integrates IF^2 against the distribution itself.  The atoms
+    are sorted once, so p probes over m atoms cost O((m + p) log m) rather
+    than one O(m) call per point.
     """
     probes = _probe_points(probe_points)
     influence = _influence_over(t, f)  # the sums over the atoms serve both calls
@@ -287,7 +292,7 @@ def influence_profile(
         variance = math.inf
     if not all(map(math.isfinite, chain(values, at_atoms, [variance]))):
         raise NumericalFailureError("the influence or its variance overflows the float range")
-    unbounded = _grows_linearly(map(abs, probes), map(abs, values))
+    unbounded = t.kind is not Functional.MEDIAN and not t.trim_fraction
     gamma = math.inf if unbounded else max(map(abs, values))
     return InfluenceProfile(
         probe_points=probes,
@@ -307,26 +312,6 @@ def _probe_points(values) -> tuple[float, ...]:
     if not all(map(math.isfinite, probes)):
         raise InvalidInputError("probe points must be finite")
     return probes
-
-
-def _grows_linearly(magnitudes, if_abs) -> bool:
-    # one |IF| value per distinct probe magnitude (keep the largest), then a
-    # raw-space least-squares slope over the outer 20% of magnitudes
-    per_mag: dict[float, float] = {}
-    for m, v in zip(magnitudes, if_abs):
-        per_mag[m] = max(per_mag.get(m, 0.0), v)
-    x = sorted(per_mag)[-max(2, math.ceil(0.2 * len(per_mag))):]
-    if len(x) < 2:
-        return False
-    v = [per_mag[m] for m in x]
-    # each axis scaled below 1 by a power of two: no sum overflows, no spread
-    # squares to 0, and the slope scales by 2^(a - b) exactly, far below 2^1023
-    a, b = math.frexp(x[-1])[1], math.frexp(max(v))[1]
-    x, v = [math.ldexp(m, -a) for m in x], [math.ldexp(r, -b) for r in v]
-    x_bar, v_bar = math.fsum(x) / len(x), math.fsum(v) / len(v)
-    dx = [m - x_bar for m in x]
-    slope = math.fsum(d * (r - v_bar) for d, r in zip(dx, v)) / math.fsum(d * d for d in dx)
-    return slope > math.ldexp(0.5, min(a - b, 1024))
 
 
 class AttackResult(ValueRecord):

@@ -706,8 +706,7 @@ class TestInfluence:
 
     @pytest.mark.parametrize("functional", ["mean", "trimmed:0.25"])
     def test_probes_near_the_top_of_the_float_range(self, tmp_path, functional):
-        # two probe magnitudes above 9e307 sum past the float range; the
-        # growth slope is taken on values scaled below 1
+        # two probe magnitudes above 9e307 sum past the float range
         path = tmp_path / "two.csv"
         path.write_text("0,0.5\n1,0.5\n")
         res = run_cli("influence", str(path), "--functional", functional,
@@ -715,6 +714,38 @@ class TestInfluence:
         assert res.returncode == 0, res.stderr
         summary = strict_json("{" + res.stdout.split("{", 1)[1])
         want = "unbounded" if functional == "mean" else 1
+        assert summary["gross_error_sensitivity"] == want
+
+    @pytest.mark.parametrize("functional", ["trimmed:0.1", "median"])
+    def test_tied_rows_print_what_their_merged_twin_prints(self, tmp_path, functional):
+        split, merged = tmp_path / "split.csv", tmp_path / "merged.csv"
+        split.write_text("0,0.25\n1,0.25\n1,0.25\n2,0.25\n")
+        merged.write_text("0,0.25\n1,0.5\n2,0.25\n")
+        runs = [
+            run_cli("influence", str(path), "--functional", functional, "--probes", "1:2:2")
+            for path in (split, merged)
+        ]
+        assert [res.returncode for res in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+
+    @pytest.mark.parametrize(
+        "rows, functional, probes, want",
+        [
+            # IF = y - mean is unbounded, though it shrinks over these probes
+            ("100,0.5\n101,0.5\n", "mean", "1:10:5", "unbounded"),
+            # IF rises from 0 to 1.25 over two probes, and saturates there
+            ("0,0.25\n1,0.5\n2,0.25\n", "trimmed:0.1", "1:2:2", 1.25),
+        ],
+        ids=["mean", "trimmed"],
+    )
+    def test_unbounded_verdict_comes_from_the_functional(
+        self, tmp_path, rows, functional, probes, want
+    ):
+        path = tmp_path / "dist.csv"
+        path.write_text(rows)
+        res = run_cli("influence", str(path), "--functional", functional, "--probes", probes)
+        assert res.returncode == 0, res.stderr
+        summary = strict_json("{" + res.stdout.split("{", 1)[1])
         assert summary["gross_error_sensitivity"] == want
 
     def test_weights_whose_sum_overflows_exit_2(self, tmp_path):
