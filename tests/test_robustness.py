@@ -395,6 +395,46 @@ class TestInfluenceProfile:
         for t in [MEAN, MEDIAN] + [trimmed_mean(a) for a in (0.0, 0.1, 0.25)]:
             assert outcome(t, f) == outcome(t, twin)
 
+    @pytest.mark.parametrize(
+        "probes",
+        [
+            [1e-300, 2e-300],  # tiny probes, where |IF| of the mean is flat
+            [4.0, 5.0, 6.0],  # around the mean, where |IF| of the mean shrinks
+            [-1.7e308, 1.7e308],  # the ends of the float range
+        ],
+        ids=["tiny", "around-the-mean", "huge"],
+    )
+    def test_verdict_comes_from_the_functional(self, probes):
+        verdicts = [(MEAN, True), (trimmed_mean(0.0), True), (MEDIAN, False),
+                    (trimmed_mean(0.1), False), (trimmed_mean(0.4), False)]
+        for t, unbounded in verdicts:
+            profile = influence_profile(t, UNIFORM9, probes)
+            assert profile.unbounded_flag is unbounded
+            want = math.inf if unbounded else max(map(abs, profile.values))
+            assert profile.gross_error_sensitivity == want
+
+    @given(tied_rows(), st.integers(-400, 400))
+    def test_profile_is_scale_free(self, rows, k):
+        # scaling the data and the probes by 2^k scales every influence value
+        # by 2^k and the variance by 4^k exactly, and keeps the verdict
+        def outcome(t, f, probes, k):
+            try:
+                p = influence_profile(t, f, probes)
+            except NumericalFailureError:  # a median that jumps; the message names y
+                return "fails"
+            return (tuple(math.ldexp(v, -k) for v in p.values),
+                    math.ldexp(p.gross_error_sensitivity, -k),
+                    p.unbounded_flag, math.ldexp(p.asymptotic_variance, -2 * k))
+
+        locs, weights = rows
+        probes = [-7.0, -0.5, 0.0, 1.0, 2.5, 7.0]
+        f = EmpiricalDistribution(locs, weights)
+        scaled = EmpiricalDistribution([math.ldexp(x, k) for x in locs], weights)
+        for t in [MEAN, MEDIAN] + [trimmed_mean(a) for a in (0.0, 0.1, 0.25)]:
+            assert outcome(t, scaled, [math.ldexp(y, k) for y in probes], k) == outcome(
+                t, f, probes, 0
+            )
+
     def test_variance_past_the_float_range_fails(self):
         # each influence value is finite, but IF^2 = 1e400 at both atoms
         with pytest.raises(NumericalFailureError, match="variance overflows the float range"):
