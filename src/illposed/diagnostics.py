@@ -161,11 +161,11 @@ def perturbation_amplification(
     """
     data = _vector(data, a.rows, "data")
     data_perturbed = _vector(data_perturbed, a.rows, "data_perturbed")
-    if svd(a).rank != a.cols:
-        raise InvalidInputError("perturbation amplification requires an identifiable operator")
     data_change = _relative_change(data_perturbed, data, "data")
     if data_change == 0:
         raise InvalidInputError("the perturbation must be nonzero")
+    if svd(a).rank != a.cols:
+        raise InvalidInputError("perturbation amplification requires an identifiable operator")
     solution_change = _relative_change(
         tikhonov_solve(a, data_perturbed, 0.0), tikhonov_solve(a, data, 0.0),
         "the reference solution",

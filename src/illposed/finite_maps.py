@@ -2,7 +2,9 @@
 
 Every map is a total function ``{0..m-1} -> {0..c-1}`` stored as a lookup
 table, so statements such as "an estimator exists iff the forward map is
-injective" can be checked by exhaustive enumeration instead of proof.
+injective" can be checked by exhaustive enumeration instead of proof.  So
+can the generalized inverse G o P o G that :func:`promote_to_generalized`
+builds from an inner inverse G of P (:func:`verify_outer_inverse`).
 
 Both theorem checks sweep kernel classes, not tables: every test here
 compares table entries only for equality, so a verdict depends only on the
@@ -210,12 +212,6 @@ def parameter_identifiable_sections(p: FiniteMap, q: FiniteMap) -> bool:
             if seen.setdefault(p.table[ui], ui) != ui:
                 return False
     return True
-
-
-def all_maps(domain_size: int, codomain_size: int):
-    """Yield every FiniteMap ``domain_size -> codomain_size``."""
-    for table in itertools.product(range(codomain_size), repeat=domain_size):
-        yield FiniteMap(domain_size, codomain_size, table)
 
 
 def restricted_growth_strings(n: int):

@@ -10,7 +10,8 @@ of amplitude one.  That solve is the one O(n) first difference; a
 a regularized solve reads it.  The operator's singular value
 decomposition is known in closed form too, so the operator
 :func:`heaviside_operator` returns factors itself without LAPACK, and its
-condition number is exact.
+condition number is exact.  :func:`regression_functional` shows that a
+smooth functional of the density stays estimable while the density does not.
 """
 
 from __future__ import annotations
@@ -199,22 +200,6 @@ def run_instability_experiment(n: int, n_osc: int) -> InstabilityResult:
         amplification=sol_dev / rhs_dev,
         delta=delta,
     )
-
-
-class DensityCheck(ValueRecord):
-    """Mass and positivity evidence for a candidate conditional density."""
-
-    __slots__ = ("integral", "min_value")
-
-
-def density_constraints_check(f: np.ndarray, grid: Grid) -> DensityCheck:
-    """Report the quadrature mass h*sum(f) and the minimum value of f.
-
-    A proper conditional density has integral 1 and min >= 0; the caller
-    decides how much violation to tolerate.
-    """
-    f = _vector(f, grid.n, "density")
-    return DensityCheck(integral=float(grid.h * np.sum(f)), min_value=float(np.min(f)))
 
 
 def regression_functional(density: np.ndarray, grid: Grid) -> float:

@@ -138,6 +138,13 @@ def default_rtol(a: DenseOperator) -> float:
     return max(a.rows, a.cols) * float(np.finfo(float).eps)
 
 
+def _tolerance(a: DenseOperator, rtol: float | None) -> float:
+    rtol = default_rtol(a) if rtol is None else rtol
+    if not 0 <= rtol < math.inf:
+        raise InvalidInputError(f"rtol must be >= 0 and finite, got {rtol}")
+    return rtol
+
+
 def _numerical_rank(a: DenseOperator, rtol: float | None) -> tuple[float, np.ndarray, int]:
     """``(rtol, sigma, rank)``: the validated tolerance, the operator's
     singular values and how many of them exceed ``rtol * sigma_max``.
@@ -145,11 +152,7 @@ def _numerical_rank(a: DenseOperator, rtol: float | None) -> tuple[float, np.nda
     Reads :attr:`DenseOperator._spectrum`, which is the factors' own sigma
     when the factors came first.
     """
-    if rtol is None:
-        rtol = default_rtol(a)
-    if not 0 <= rtol < math.inf:
-        raise InvalidInputError(f"rtol must be >= 0 and finite, got {rtol}")
-    s = a._spectrum
+    rtol, s = _tolerance(a, rtol), a._spectrum
     return rtol, s, int(np.sum(s > rtol * s[0]))
 
 
@@ -169,8 +172,9 @@ def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
         Relative truncation threshold, >= 0.  Defaults to
         ``max(rows, cols) * machine epsilon``.
     """
-    u, _, v = a._factors  # first, so the rank reads the factors' own sigma
-    rtol, s, rank = _numerical_rank(a, rtol)
+    rtol = _tolerance(a, rtol)  # before any LAPACK call
+    u, _, v = a._factors  # before the rank, so that it reads the factors' own sigma
+    _, s, rank = _numerical_rank(a, rtol)
     return SvdFactors(
         left_vectors=u[:, :rank],
         singular_values=s[:rank],
@@ -221,7 +225,8 @@ def null_space(a: DenseOperator, rtol: float | None = None) -> np.ndarray:
     The right singular vectors past the numerical rank, sliced from the
     operator's one shared factorization.
     """
-    v = a._factors[2]  # first, so the rank reads the factors' own sigma
+    rtol = _tolerance(a, rtol)  # before any LAPACK call
+    v = a._factors[2]  # before the rank, so that it reads the factors' own sigma
     return v[:, _numerical_rank(a, rtol)[2] :].copy()
 
 
@@ -238,8 +243,7 @@ def linear_parameter_identifiable(
         raise InvalidInputError(
             f"P and q must act on the same parameter space: {p.cols} != {q.cols}"
         )
-    if rtol is None:
-        rtol = default_rtol(p)
+    rtol = _tolerance(p, rtol)
     basis = null_space(p, rtol)
     if basis.shape[1] == 0:
         return True

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import pathlib
 import subprocess
 import sys
 
@@ -11,23 +10,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from illposed.cli import _parse_probes, run
-
-SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-# children treat warnings as errors, as pyproject.toml does in process
-PYTHON = [
-    sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
-    "-W", "error::DeprecationWarning", "-W", "error::PendingDeprecationWarning",
-]
+from launcher import ENV, PYTHON
+from test_linop import count_lapack_svd
 
 
 def run_cli(*args, cwd=None):
-    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
     return subprocess.run(
         [*PYTHON, "-m", "illposed", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=ENV,
     )
 
 
@@ -180,6 +173,14 @@ class TestAnalyze:
         assert res.returncode == 2
         assert res.stdout == ""
         assert message in res.stderr
+
+    @pytest.mark.parametrize("param", [[], ["--param", "param_x.csv"]], ids=["alone", "param"])
+    def test_bad_rtol_exits_before_any_lapack_call(self, workdir, monkeypatch, capsys, param):
+        monkeypatch.chdir(workdir)
+        calls = count_lapack_svd(monkeypatch)
+        assert run(["analyze", "identity.csv", *param, "--rtol", "-1"]) == 2
+        assert calls == []
+        assert "rtol must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rows, param",
@@ -550,8 +551,8 @@ class TestLargeMatrix:
             os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
         # one BLAS thread in both runs, so that only the parse differs
-        env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1",
-               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        env = {**ENV, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
         solve = ["solve", str(matrix), str(data), "--method", "tsvd", "--k", "600"]
         for args in (["analyze", str(matrix)], solve):
             split, whole = (
@@ -1000,18 +1001,15 @@ def numpy_free_run(*args):
         "    sys.exit('numpy was imported')\n"
         "sys.exit(status)\n"
     )
-    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
     return subprocess.run(
-        [*PYTHON, "-c", code, *args], capture_output=True, text=True, env=env
+        [*PYTHON, "-c", code, *args], capture_output=True, text=True, env=ENV
     )
 
 
 class TestNumpyFree:
     def test_import_cli(self):
         code = "import sys, illposed.cli; sys.exit('numpy' in sys.modules)"
-        res = subprocess.run(
-            [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
-        )
+        res = subprocess.run([*PYTHON, "-c", code], env=ENV)
         assert res.returncode == 0
 
     @pytest.mark.parametrize(
@@ -1084,7 +1082,7 @@ def loaded_modules(workdir, args, watched):
     res = subprocess.run(
         [*PYTHON, "-c", code, *args],
         capture_output=True, text=True, cwd=workdir,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=ENV,
     )
     assert res.returncode == 0, res.stderr
     return res.stderr
@@ -1147,7 +1145,7 @@ class TestStartupImports:
         )
         res = subprocess.run(
             [*PYTHON, "-c", code, *args],
-            capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, env=ENV,
         )
         assert res.returncode == 0, res.stderr
         assert res.stderr == f"loaded: {above}\n"

@@ -18,6 +18,7 @@ from illposed.diagnostics import (
 from illposed.errors import InvalidInputError
 from illposed.fredholm import heaviside_operator
 from illposed.linop import DenseOperator, svd
+from test_linop import count_lapack_svd
 
 RNG = np.random.default_rng(1234)
 
@@ -343,6 +344,22 @@ class TestPerturbationAmplification:
     def test_non_identifiable_rejected(self):
         with pytest.raises(InvalidInputError, match="requires an identifiable operator"):
             perturbation_amplification(DenseOperator([[1.0, 1.0]]), np.ones(1), np.zeros(1))
+
+    @pytest.mark.parametrize(
+        "data, data_perturbed, message",
+        [
+            (np.ones(50), np.ones(50), "^the perturbation must be nonzero$"),
+            (np.zeros(50), np.ones(50), "^data must be nonzero$"),
+        ],
+        ids=["perturbation", "data"],
+    )
+    def test_data_errors_come_before_any_lapack_call(
+        self, monkeypatch, data, data_perturbed, message
+    ):
+        calls = count_lapack_svd(monkeypatch)
+        with pytest.raises(InvalidInputError, match=message):
+            perturbation_amplification(DenseOperator(np.eye(50)), data, data_perturbed)
+        assert calls == []
 
     def test_equal_data_rejected(self):
         with pytest.raises(InvalidInputError, match="^the perturbation must be nonzero$"):

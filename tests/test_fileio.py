@@ -3,7 +3,6 @@ import json
 import os
 import signal
 import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -27,14 +26,9 @@ from illposed.fileio import (
     read_vector_csv,
     vector_to_csv,
 )
+from launcher import ENV, PYTHON
 
 RNG = np.random.default_rng(99)
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-# children treat warnings as errors, as pyproject.toml does in process
-PYTHON = [
-    sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
-    "-W", "error::DeprecationWarning", "-W", "error::PendingDeprecationWarning",
-]
 FINITE_MATRICES = arrays(
     np.float64,
     array_shapes(min_dims=2, max_dims=2, max_side=5),
@@ -98,7 +92,7 @@ class TestCsv:
         assert read_matrix_csv(str(path)).matrix.tolist() == [[1.0, 2.0]]
         res = subprocess.run(
             [*PYTHON, "-m", "illposed", "analyze", str(path)],
-            capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, env=ENV,
         )
         assert res.returncode == 0, res.stderr
 
@@ -375,12 +369,11 @@ class TestSplitParse:
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
             " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         res = subprocess.run(
             [*PYTHON, "-c", code, str(path)],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+            env=ENV,
             check=True,
         )
         reader, workers = map(int, res.stdout.split())

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from illposed.errors import CompositionError, InvalidInputError
 from illposed.finite_maps import (
     FiniteMap,
-    all_maps,
     check_fisher_consistency_theorem,
     check_parameter_equivalence_theorem,
     construct_inner_inverse,
@@ -29,6 +28,13 @@ from illposed.finite_maps import (
 # coordinate parameter q(x, y) = x, enumerated as tables over domain size 4
 P_SUM = FiniteMap(4, 3, (0, 1, 1, 2))
 Q_COORD = FiniteMap(4, 2, (0, 0, 1, 1))
+
+
+def all_maps(domain_size, codomain_size):
+    """Yield every FiniteMap ``domain_size -> codomain_size``: the table-by-table
+    oracle for the checks that sweep kernel classes."""
+    for table in itertools.product(range(codomain_size), repeat=domain_size):
+        yield FiniteMap(domain_size, codomain_size, table)
 
 
 @st.composite

@@ -12,7 +12,6 @@ from illposed.fredholm import (
     FredholmProblem,
     Grid,
     analytic_perturbed_solution,
-    density_constraints_check,
     heaviside_operator,
     oscillation_delta,
     ramp_problem,
@@ -95,6 +94,13 @@ class TestAnalyticSolution:
         # the cosine completes whole periods on [0, 1], so its grid sum cancels
         f = analytic_perturbed_solution(Grid(1000), 8)
         assert np.mean(f) == pytest.approx(1.0, abs=1e-9)
+
+    def test_is_still_a_density(self):
+        # 1 + cos(y/delta) keeps mass 1 and stays nonnegative: a proper density
+        g = Grid(1000)
+        f = analytic_perturbed_solution(g, 8)
+        assert g.h * np.sum(f) == pytest.approx(1.0, abs=0.01)
+        assert np.min(f) == pytest.approx(0.0, abs=0.01)
 
 
 class TestSolve:
@@ -191,24 +197,6 @@ class TestInstabilityExperiment:
         assert all(r.sol_dev >= 0.9 for r in devs)
 
 
-class TestDensityConstraints:
-    def test_uniform_density(self):
-        g = Grid(100)
-        check = density_constraints_check(np.ones(100), g)
-        assert check.integral == pytest.approx(1.0, abs=1e-12)
-        assert check.min_value == 1.0
-
-    def test_perturbed_analytic_solution(self):
-        g = Grid(1000)
-        check = density_constraints_check(analytic_perturbed_solution(g, 8), g)
-        assert check.integral == pytest.approx(1.0, abs=0.01)
-        assert -0.01 <= check.min_value <= 0.01
-
-    def test_zero_density_flagged(self):
-        check = density_constraints_check(np.zeros(10), Grid(10))
-        assert check.integral == 0.0
-
-
 class TestRegressionFunctional:
     def test_uniform_density_mean(self):
         g = Grid(200)
@@ -228,20 +216,17 @@ class TestRegressionFunctional:
         density[-1] = n  # unit mass concentrated at y = 1
         assert regression_functional(density, g) == pytest.approx(1.0, abs=1e-12)
 
-
-@pytest.mark.parametrize("check", [density_constraints_check, regression_functional])
-class TestDensityVectorRule:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_density_rejected(self, check, bad):
+    def test_non_finite_density_rejected(self, bad):
         density = np.ones(10)
         density[3] = bad
         with pytest.raises(InvalidInputError, match="^density must be finite$"):
-            check(density, Grid(10))
+            regression_functional(density, Grid(10))
 
-    def test_wrong_shape_rejected(self, check):
+    def test_wrong_shape_rejected(self):
         message = r"^density must have shape \(10,\), got \(9,\)$"
         with pytest.raises(InvalidInputError, match=message):
-            check(np.ones(9), Grid(10))
+            regression_functional(np.ones(9), Grid(10))
 
 
 class TestConditioningLink:

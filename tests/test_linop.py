@@ -106,6 +106,22 @@ class TestSvd:
             with pytest.raises(InvalidInputError, match="finite"):
                 fn(DenseOperator(np.eye(2)), rtol=bad)
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            svd, null_space, pseudoinverse, is_identifiable_linear,
+            lambda a, rtol: linear_parameter_identifiable(a, a, rtol),
+        ],
+        ids=["svd", "null_space", "pseudoinverse", "is_identifiable_linear",
+             "linear_parameter_identifiable"],
+    )
+    def test_bad_rtol_is_rejected_before_any_lapack_call(self, monkeypatch, fn, bad):
+        calls = count_lapack_svd(monkeypatch)
+        with pytest.raises(InvalidInputError, match="^rtol must be >= 0 and finite"):
+            fn(DenseOperator(np.eye(50)), rtol=bad)
+        assert calls == []
+
 
 class TestPseudoinverse:
     def test_scalar(self):

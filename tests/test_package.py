@@ -1,17 +1,15 @@
+import ast
 import pathlib
+import re
 import subprocess
-import sys
 
 import pytest
 
 import illposed
+from launcher import ENV, PYTHON
 
-SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-# children treat warnings as errors, as pyproject.toml does in process
-PYTHON = [
-    sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
-    "-W", "error::DeprecationWarning", "-W", "error::PendingDeprecationWarning",
-]
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
 
 def test_unknown_attribute():
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
@@ -32,9 +30,7 @@ def test_finite_maps_import_without_numpy():
         "assert fisher_consistent_estimator(FiniteMap(2, 3, (0, 1))) is not None\n"
         "sys.exit('numpy' in sys.modules)\n"
     )
-    res = subprocess.run(
-        [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
-    )
+    res = subprocess.run([*PYTHON, "-c", code], env=ENV)
     assert res.returncode == 0
 
 
@@ -48,9 +44,7 @@ def test_influence_profile_without_numpy():
         "assert profile.asymptotic_variance == 1.0\n"
         "sys.exit('numpy' in sys.modules)\n"
     )
-    res = subprocess.run(
-        [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
-    )
+    res = subprocess.run([*PYTHON, "-c", code], env=ENV)
     assert res.returncode == 0
 
 
@@ -63,9 +57,7 @@ def test_package_root_binds_no_public_name():
         "loaded = [name for name in sys.modules if name.startswith('illposed.')]\n"
         "assert loaded == [], loaded\n"
     )
-    res = subprocess.run(
-        [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
-    )
+    res = subprocess.run([*PYTHON, "-c", code], env=ENV)
     assert res.returncode == 0
 
 
@@ -79,19 +71,49 @@ def test_star_import():
         "loaded = [name for name in sys.modules if name.startswith('illposed.')]\n"
         "assert loaded == [], loaded\n"
     )
-    res = subprocess.run(
-        [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
-    )
+    res = subprocess.run([*PYTHON, "-c", code], env=ENV)
     assert res.returncode == 0
 
 
 def test_readme_library_example():
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## Library example\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     res = subprocess.run(
-        [*PYTHON, "-c", code], env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        [*PYTHON, "-c", code], env=ENV,
         capture_output=True, text=True,
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "ILL_CONDITIONED\n327\nFalse\nTrue\n"
+
+
+def test_every_public_name_has_a_reader():
+    # a reader is code in src/ or scripts/, the acceptance suite, or the
+    # benchmark's tracer, which names the functions it wraps as strings;
+    # a name that none of them reads is kept only if its module docstring
+    # names it, with the statement of the paper it reproduces
+    readers = [
+        *(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py"),
+        ROOT / "tests" / "test_acceptance.py", ROOT / "bench" / "tracing.py",
+    ]
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for path in sorted((ROOT / "src" / "illposed").glob("*.py")):
+        module = ast.parse(path.read_text())
+        docstring = ast.get_docstring(module) or ""
+        for node in module.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in read and not re.search(rf"\b{node.name}\b", docstring):
+                unread.append(f"{path.stem}.{node.name}")
+    assert not unread, f"no reader: {', '.join(unread)}"

@@ -15,7 +15,6 @@ import pytest
 from illposed.diagnostics import Classification, DiagnosisReport, StabilityBound
 from illposed.finite_maps import FiniteMap
 from illposed.fredholm import (
-    DensityCheck,
     FredholmProblem,
     Grid,
     InstabilityResult,
@@ -72,7 +71,6 @@ def make(name):
         "InstabilityResult": lambda: InstabilityResult(
             rhs_dev=0.125, sol_dev=1.0, amplification=8.0, delta=0.125
         ),
-        "DensityCheck": lambda: DensityCheck(integral=1.0, min_value=0.0),
     }[name]()
 
 
@@ -97,7 +95,6 @@ FIELDS = {
     "Grid": ("n",),
     "FredholmProblem": ("grid", "rhs"),
     "InstabilityResult": ("rhs_dev", "sol_dev", "amplification", "delta"),
-    "DensityCheck": ("integral", "min_value"),
 }
 
 REPRS = {
@@ -130,12 +127,10 @@ REPRS = {
     "InstabilityResult": (
         "InstabilityResult(rhs_dev=0.125, sol_dev=1.0, amplification=8.0, delta=0.125)"
     ),
-    "DensityCheck": "DensityCheck(integral=1.0, min_value=0.0)",
 }
 
 BY_VALUE = [
     "FiniteMap", "FunctionalKind", "AttackResult", "StabilityBound", "InstabilityResult",
-    "DensityCheck",
 ]
 BY_IDENTITY = [
     "EmpiricalDistribution", "InfluenceProfile", "DenseOperator", "SvdFactors",

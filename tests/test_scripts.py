@@ -2,16 +2,12 @@
 
 import pathlib
 import subprocess
-import sys
 
 import pytest
 
+from launcher import ENV, PYTHON
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-# children treat warnings as errors, as pyproject.toml does in process
-PYTHON = [
-    sys.executable, "-B", "-W", "error::RuntimeWarning", "-W", "error::UserWarning",
-    "-W", "error::DeprecationWarning", "-W", "error::PendingDeprecationWarning",
-]
 
 
 @pytest.mark.parametrize(
@@ -30,7 +26,7 @@ def test_script_runs(script, args, header):
         [*PYTHON, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=ENV,
     )
     assert res.returncode == 0, res.stderr
     assert header in [line.split() for line in res.stdout.splitlines()]
