@@ -106,11 +106,10 @@ def _cmd_analyze(args) -> tuple[str | None, dict]:
     from .fileio import read_matrix_csv
     from .linop import linear_parameter_identifiable
 
-    kappa_threshold = (
-        diagnostics.DEFAULT_KAPPA_THRESHOLD
-        if args.kappa_threshold is None
-        else args.kappa_threshold
-    )
+    kappa_threshold = args.kappa_threshold
+    if kappa_threshold is None:
+        kappa_threshold = diagnostics.DEFAULT_KAPPA_THRESHOLD
+    diagnostics._check_kappa_threshold(kappa_threshold)  # before the SVD that --param runs
     a = read_matrix_csv(args.matrix)
     # the identifiability test needs singular vectors; running it first lets
     # diagnose read their singular values instead of a second, values-only SVD
@@ -236,9 +235,9 @@ def _cmd_influence(args) -> tuple[str | None, dict]:
     from . import robustness
     from .fileio import read_distribution_csv, table_to_csv
 
-    dist = read_distribution_csv(args.distribution)
     kind = _parse_functional(args.functional)
     probes = _parse_probes(args.probes)
+    dist = read_distribution_csv(args.distribution)
     profile = robustness.influence_profile(kind, dist, probes)
     return table_to_csv(["probe", "influence"], [profile.probe_points, profile.values]), {
         "functional": args.functional,

@@ -51,6 +51,11 @@ class StabilityBound(ValueRecord):
     __slots__ = ("lhs", "rhs", "holds")
 
 
+def _check_kappa_threshold(value: float) -> None:
+    if not 1 < value < math.inf:
+        raise InvalidInputError(f"kappa_threshold must exceed 1 and be finite, got {value}")
+
+
 def diagnose(
     a: DenseOperator,
     rtol: float | None = None,
@@ -72,10 +77,7 @@ def diagnose(
     Only singular values are read, so an operator not yet factored pays
     for a values-only SVD.
     """
-    if not 1 < kappa_threshold < math.inf:
-        raise InvalidInputError(
-            f"kappa_threshold must exceed 1 and be finite, got {kappa_threshold}"
-        )
+    _check_kappa_threshold(kappa_threshold)
     _, full, rank = _numerical_rank(a, rtol)
     identifiable = rank == a.cols
     if rank > 0:

@@ -146,15 +146,17 @@ def fisher_consistent_estimator(p: FiniteMap) -> FiniteMap | None:
     return construct_inner_inverse(p) if is_injective(p) else None
 
 
+def _check_same_domain(p: FiniteMap, q: FiniteMap) -> None:
+    if p.domain_size != q.domain_size:
+        raise InvalidInputError(f"P and q must share a domain: {p.domain_size} != {q.domain_size}")
+
+
 def parameter_identifiable_standard(p: FiniteMap, q: FiniteMap) -> bool:
     """True iff ``P(t1) = P(t2)`` implies ``q(t1) = q(t2)`` for all t1, t2.
 
     Equivalently: q is constant on each fiber of P.
     """
-    if p.domain_size != q.domain_size:
-        raise InvalidInputError(
-            f"P and q must share a domain: {p.domain_size} != {q.domain_size}"
-        )
+    _check_same_domain(p, q)
     seen: dict[int, int] = {}
     for pv, qv in zip(p.table, q.table):
         if seen.setdefault(pv, qv) != qv:
@@ -201,10 +203,7 @@ def parameter_identifiable_sections(p: FiniteMap, q: FiniteMap) -> bool:
     Agrees with :func:`parameter_identifiable_standard` on every input
     (verified exhaustively by :func:`check_parameter_equivalence_theorem`).
     """
-    if p.domain_size != q.domain_size:
-        raise InvalidInputError(
-            f"P and q must share a domain: {p.domain_size} != {q.domain_size}"
-        )
+    _check_same_domain(p, q)
     for s in enumerate_sections(q):
         u = tuple(s.table[v] for v in q.table)  # s o q on the domain
         seen: dict[int, int] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate, chain, groupby, islice
 from operator import eq, itemgetter, mul
 
@@ -113,9 +113,11 @@ def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
     if t.kind is Functional.MEDIAN:
         return f.locations[_median_index(list(accumulate(f.weights)))]
     alpha = t.trim_fraction or 0.0  # None for the mean
+    top = 1.0 - alpha
     kept = f.weights if not alpha else (  # the mean, or a trimmed mean that trims nothing
-        max(min(hi, 1.0 - alpha) - max(hi - w, alpha), 0.0)
+        k if k >= 0.0 else 0.0  # max(min(hi, top) - max(lo, alpha), 0.0), without the calls
         for hi, w in zip(accumulate(f.weights), f.weights)
+        for k in ((hi if hi <= top else top) - (hi - w if hi - w >= alpha else alpha),)
     )
     try:
         value = math.fsum(map(mul, kept, f.locations)) / (1.0 - 2.0 * alpha)
@@ -149,9 +151,10 @@ def influence_function(t: FunctionalKind, f: EmpiricalDistribution, y: float) ->
     """Exact one-sided derivative of the functional toward a point mass at y.
 
     The right derivative at eps -> 0+ of T((1 - eps) F + eps * delta_y).
-    MEAN gives y - mean(F).  TRIMMED_MEAN differentiates the kept weight of
-    each atom, which is piecewise linear in eps; a cumulative edge within
-    1e-12 of a trim level follows the piece that is active for eps > 0.
+    MEAN gives y - mean(F).  TRIMMED_MEAN gives the Winsorized score, y
+    clamped to the trim quantiles of the contaminated distribution, centred
+    and scaled; at a cumulative edge within 1e-12 of a trim level, y takes
+    that quantile between the locations beside the edge.
     MEDIAN gives 0 unless the median sits on an atom whose cumulative weight
     is 1/2 within 1e-12 and y lies above it: then the median jumps to a
     later location for every eps > 0, the influence quotient does not
@@ -162,11 +165,8 @@ def influence_function(t: FunctionalKind, f: EmpiricalDistribution, y: float) ->
 
 def _influence_over(t: FunctionalKind, f: EmpiricalDistribution):
     """:func:`influence_function` as a function of ascending finite ys."""
-    if t.kind is Functional.TRIMMED_MEAN:
-        return _trimmed_influence_over(t.trim_fraction, f)
-    if t.kind is Functional.MEAN:
-        mu = evaluate(MEAN, f)
-        return lambda ys: [y - mu for y in ys]
+    if t.kind is not Functional.MEDIAN:
+        return _winsorized_score(t, f)
     cum = list(accumulate(f.weights))
     idx = _median_index(cum)
     median = f.locations[idx] if abs(cum[idx] - 0.5) <= _WEIGHT_TOL else math.inf
@@ -175,85 +175,45 @@ def _influence_over(t: FunctionalKind, f: EmpiricalDistribution):
         for y in ys:
             if y > median:
                 raise NumericalFailureError(
-                    f"influence quotient does not converge at y = {y}: the median "
-                    f"{median!r} holds cumulative weight 1/2 and jumps under "
-                    "contamination above it"
+                    f"influence quotient does not converge at y = {y}: the median {median!r} "
+                    "holds cumulative weight 1/2 and jumps under contamination above it"
                 )
         return [0.0] * len(ys)
 
     return values
 
 
-def _trimmed_influence_over(alpha: float, f: EmpiricalDistribution):
-    """The trimmed-mean influence as a function of ascending ys, O(log m) each.
+def _winsorized_score(t: FunctionalKind, f: EmpiricalDistribution):
+    """The trimmed-mean influence as a function of ys, O(1) each after O(m) setup.
 
-    An atom's slope depends on y only through whether it lies below, at or
-    above y, so each atom has three slopes, fixed once.  Prefix sums of
-    location times slope give the sum below, at and above y, and bisection
-    finds where y splits the sorted atoms.
+    The Winsorized score (Huber, Ann. Math. Stat. 35:73, 1964; Hampel et al.,
+    Robust Statistics, 1986, 2.3): IF(y) = (psi - alpha q_lo - alpha q_hi) /
+    (1 - 2 alpha) - T(F), with trim quantiles q_lo = clamp(y, a, b) and q_hi =
+    clamp(y, c, d) as eps -> 0+, and psi = y clamped to them, which is
+    clamp(y, a, d) as b <= c.  The mean is alpha = 0: a = -inf, d = +inf.
     """
-    loc = f.locations
-    hi = list(accumulate(f.weights))
-    inner, outer, top = alpha + _WEIGHT_TOL, alpha - 1.0 + _WEIGHT_TOL, 1.0 - alpha
-    below, at, above = [], [], []
-    for h, w, x in zip(hi, f.weights, loc):
-        lo = h - w
-        # as _kept_slopes finds: inside both trim levels each edge moves with
-        # its own slope, and wholly outside them no weight is kept
-        if lo > inner and -h > outer and h - lo > _WEIGHT_TOL:
-            s = -h - -lo, -(h - 1) - -lo, -(h - 1) - (1 - lo)
-        elif h - alpha < -_WEIGHT_TOL or top - lo < -_WEIGHT_TOL:
-            s = 0.0, 0.0, 0.0
-        else:
-            s = _kept_slopes(h, lo, alpha)
-        below.append(x * s[0])
-        at.append(x * s[1])
-        above.append(x * s[2])
-    below = [0.0, *accumulate(below)]
-    at = [0.0, *accumulate(at)]
-    above = [*accumulate(reversed(above))][::-1] + [0.0]
-    edge = [0.0, *hi]
-    scale = 1.0 - 2.0 * alpha
-
-    def values(ys):
-        if ys is loc:  # the atoms, one per location: atom i splits at i and i + 1
-            return [
-                (b + (a1 - a0) + ab) / scale for b, a0, a1, ab in zip(below, at, at[1:], above[1:])
-            ]
-        out = []
-        for y in ys:
-            left, right = bisect_left(loc, y), bisect_right(loc, y)
-            # a y that is not a location joins as a zero-weight atom with
-            # both edges at the weight below it
-            joined = y * _kept_slopes(edge[left], edge[left], alpha)[1] if left == right else 0.0
-            out.append((below[left] + (at[right] - at[left]) + above[right] + joined) / scale)
-        return out
-
-    return values
+    alpha = t.trim_fraction or 0.0
+    value, scale = evaluate(t, f), 1.0 - 2.0 * alpha
+    cum, ends = [0.0, *accumulate(f.weights)], (-math.inf, *f.locations, math.inf)
+    (a, b), (c, d) = _bracket(ends, cum, alpha), _bracket(ends, cum, 1.0 - alpha)
+    # psi - T(F) + alpha (psi - q_lo + psi - q_hi) / (1 - 2 alpha), exact at psi = q_lo = q_hi
+    return lambda ys: [
+        u - value + (alpha * u - alpha * ql + (alpha * u - alpha * qh)) / scale
+        for y in ys for u in (a if y < a else d if d < y else y,)  # min and max calls cost 4x
+        for ql, qh in ((u if u < b else b, c if u < c else u),)
+    ]
 
 
-def _kept_slopes(hi: float, lo: float, alpha: float) -> tuple[float, float, float]:
-    """Right derivatives of an atom's kept weight toward a point mass at y,
-    for y above the atom, at it and below it.
+def _bracket(ends, cum: list[float], level: float) -> tuple[float, float]:
+    """[a, b] such that clamp(y, a, b) is the quantile at ``level`` as eps -> 0+.
 
-    ``hi`` and ``lo`` are the atom's cumulative edges; they move with slopes
-    [y <= x] - hi and [y < x] - lo.  The kept weight is
-    max(0, min(hi, 1 - alpha) - max(lo, alpha)), as in :func:`evaluate`,
-    with min(hi, 1 - alpha) = -max(-hi, alpha - 1).
+    Edge k of ``cum`` lies between ``ends[k]`` and ``ends[k + 1]``, and edges
+    lo..hi-1 lie within 1e-12 of the level; with none, atom lo - 1 straddles it.
     """
-
-    def right(value, slope, floor):
-        # of max(value + eps * slope, floor) at eps = 0; within the weight
-        # tolerance of the floor the larger slope wins
-        if value > floor + _WEIGHT_TOL:
-            return slope
-        return max(slope, 0.0) if value >= floor - _WEIGHT_TOL else 0.0
-
-    kept = -max(-hi, alpha - 1.0) - max(lo, alpha)
-    return tuple(
-        right(kept, -right(-hi, hi - a, alpha - 1.0) - right(lo, b - lo, alpha), 0.0)
-        for a, b in ((0, 0), (1, 0), (1, 1))
-    )
+    lo = bisect_left(cum, level - _WEIGHT_TOL)
+    hi = bisect_left(cum, math.nextafter(level + _WEIGHT_TOL, math.inf))
+    # naive prefix sums may end more than 1e-12 below 1 while the fsum does not
+    return ends[min(lo, len(cum) - 1)], ends[hi]
 
 
 class InfluenceProfile(Record):
@@ -261,8 +221,8 @@ class InfluenceProfile(Record):
 
     ``unbounded_flag`` says whether |IF| is unbounded over the whole line,
     which is a property of the functional.  ``gross_error_sensitivity`` is
-    +inf when it is set, and otherwise the maximum |IF| over the probes,
-    not the supremum over the whole line.
+    +inf when it is set, and otherwise the maximum |IF| over the probes; a
+    trimmed mean's supremum, max(|IF(-inf)|, |IF(+inf)|), may lie off them.
     """
 
     __slots__ = ("probe_points", "values", "gross_error_sensitivity", "unbounded_flag",
@@ -279,12 +239,11 @@ def influence_profile(
     a trimmed mean with trim_fraction > 0 are monotone in the data and
     saturate, so their influence is bounded; for them the gross-error
     sensitivity is the maximum |IF| over the probes.  The asymptotic
-    variance integrates IF^2 against the distribution itself.  The atoms
-    are sorted once, so p probes over m atoms cost O((m + p) log m) rather
-    than one O(m) call per point.
+    variance integrates IF^2 against the distribution itself.  One O(m)
+    setup serves every probe and atom, so p probes over m atoms cost O(m + p).
     """
     probes = _probe_points(probe_points)
-    influence = _influence_over(t, f)  # the sums over the atoms serve both calls
+    influence = _influence_over(t, f)  # the setup over the atoms serves both calls
     values, at_atoms = tuple(influence(probes)), influence(f.locations)
     try:
         variance = math.fsum(map(mul, f.weights, map(mul, at_atoms, at_atoms)))

@@ -174,13 +174,23 @@ class TestAnalyze:
         assert res.stdout == ""
         assert message in res.stderr
 
-    @pytest.mark.parametrize("param", [[], ["--param", "param_x.csv"]], ids=["alone", "param"])
-    def test_bad_rtol_exits_before_any_lapack_call(self, workdir, monkeypatch, capsys, param):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--rtol", "-1"], "rtol must be >= 0"),
+            (["--param", "param_x.csv", "--rtol", "-1"], "rtol must be >= 0"),
+            (["--param", "param_x.csv", "--kappa-threshold", "1"], "kappa_threshold must exceed 1"),
+        ],
+        ids=["alone", "param", "kappa-param"],
+    )
+    def test_bad_rtol_exits_before_any_lapack_call(
+        self, workdir, monkeypatch, capsys, flags, message
+    ):
         monkeypatch.chdir(workdir)
         calls = count_lapack_svd(monkeypatch)
-        assert run(["analyze", "identity.csv", *param, "--rtol", "-1"]) == 2
+        assert run(["analyze", "identity.csv", *flags]) == 2
         assert calls == []
-        assert "rtol must be >= 0" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rows, param",
@@ -749,6 +759,21 @@ class TestInfluence:
         summary = strict_json("{" + res.stdout.split("{", 1)[1])
         assert summary["gross_error_sensitivity"] == want
 
+    def test_zero_trim_prints_what_the_mean_prints(self, tmp_path):
+        # both are y - mean(F) to the last digit, not the mean summed atom by atom
+        path = tmp_path / "normal.csv"
+        x = np.random.default_rng(41).standard_normal(1000).tolist()
+        path.write_text("".join(f"{v!r},0.001\n" for v in x))
+        runs = [
+            run_cli("influence", str(path), "--functional", functional, "--probes", "0.5:50:16")
+            for functional in ("mean", "trimmed:0")
+        ]
+        assert [res.returncode for res in runs] == [0, 0]
+        mean, zero = (res.stdout.splitlines() for res in runs)
+        functional = [k for k, line in enumerate(mean) if '"functional"' in line]
+        assert len(zero) == len(mean)
+        assert [k for k, line in enumerate(zero) if line != mean[k]] == functional
+
     def test_weights_whose_sum_overflows_exit_2(self, tmp_path):
         path = tmp_path / "heavy.csv"
         path.write_text("1,1.7e308\n2,1.7e308\n")
@@ -925,8 +950,23 @@ class TestOutputRouting:
                 ["fredholm-demo", "--n", "200", "--n-osc", "1", "--lambda", "1", "--noise", "1"],
                 "mutually exclusive",
             ),
+            (
+                ["solve", "no_a.csv", "no_d.csv", "--method", "tsvd", "--k", "1", "--noise", "0.1"],
+                "not valid with tsvd",
+            ),
+            (
+                ["analyze", "no_a.csv", "--param", "no_q.csv", "--kappa-threshold", "1"],
+                "kappa_threshold must exceed 1",
+            ),
+            (["influence", "no_f.csv", "--functional", "trimmed:abc", "--probes", "1:2:2"],
+             "bad trim fraction"),
+            (["influence", "no_f.csv", "--functional", "foo", "--probes", "1:2:2"],
+             "unknown functional"),
+            (["influence", "no_f.csv", "--probes", "a:2:2"], "bad --probes"),
+            (["influence", "no_f.csv", "--probes", "1:2:x"], "bad --probes"),
         ],
-        ids=["tau", "tsvd-k", "tikhonov-weight", "solve-exclusive", "fredholm-exclusive"],
+        ids=["tau", "tsvd-k", "tikhonov-weight", "solve-exclusive", "fredholm-exclusive",
+             "tsvd-noise", "kappa", "trim-fraction", "functional", "probe-end", "probe-count"],
     )
     def test_option_error_precedes_reading_input(self, tmp_path, args, message):
         res = run_cli(*args, "--out", "out.txt", cwd=tmp_path)

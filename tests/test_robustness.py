@@ -15,7 +15,6 @@ from illposed.robustness import (
     EmpiricalDistribution,
     Functional,
     FunctionalKind,
-    _kept_slopes,
     contaminate,
     evaluate,
     influence_function,
@@ -256,6 +255,14 @@ class TestInfluenceFunction:
         f = dist((-1.0, 0.5), (1.0, 0.5))
         assert influence_function(trimmed_mean(0.25), f, 10.0) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [3.0, 1e6 + 0.1, 1e150, 8e307])
+    def test_atom_over_both_trim_levels_has_zero_influence(self, x):
+        # the trimmed mean stays at x under any small contamination, to the last bit
+        f = dist((-5.0, 0.25), (x, 0.5), (2.0 * x, 0.25))
+        profile = influence_profile(trimmed_mean(0.4), f, [-10.0, 0.5, x, 1.7e308])
+        assert profile.values == (0.0, 0.0, 0.0, 0.0)
+        assert profile.asymptotic_variance == 0.0
+
     def test_median_away_from_tie_is_zero(self):
         for y in (-1e6, 0.5, 5.0, 5.5, 9.0, 1e6):
             assert influence_function(MEDIAN, UNIFORM9, y) == 0.0
@@ -314,6 +321,15 @@ class TestInfluenceFunction:
                     scale = 1.0 + abs(y) + abs(evaluate(t, f))
                     got = influence_function(t, f, y)
                     assert got == pytest.approx(want, rel=1e-6, abs=1e-6 * scale)
+
+    def test_zero_trim_on_drifted_prefix_sums_is_the_mean(self):
+        # the naive prefix sums end 1.5e-12 below 1, past the tolerance the fsum meets
+        f = EmpiricalDistribution(np.arange(100001.0), [1 - 1.5e-12] + [1e-17] * 100000)
+        probes = [-5.0, 0.5, 99999.5, 2e5]
+        mean, zero = (influence_profile(t, f, probes) for t in (MEAN, trimmed_mean(0.0)))
+        assert zero.values == mean.values
+        assert zero.values[0] == -5.0 - evaluate(MEAN, f)
+        assert zero.asymptotic_variance == mean.asymptotic_variance
 
     @given(st.floats(-1e6, 1e6))
     def test_mean_influence_is_residual(self, y):
@@ -454,6 +470,30 @@ class TestInfluenceProfile:
             influence_profile(MEAN, f, np.array([1e307, 5e307]))
 
 
+def _kept_slopes(hi: float, lo: float, alpha: float) -> tuple[float, float, float]:
+    """Right derivatives of an atom's kept weight toward a point mass at y,
+    for y above the atom, at it and below it.
+
+    ``hi`` and ``lo`` are the atom's cumulative edges; they move with slopes
+    [y <= x] - hi and [y < x] - lo.  The kept weight is
+    max(0, min(hi, 1 - alpha) - max(lo, alpha)), as in :func:`evaluate`,
+    with min(hi, 1 - alpha) = -max(-hi, alpha - 1).
+    """
+
+    def right(value, slope, floor):
+        # of max(value + eps * slope, floor) at eps = 0; within the weight
+        # tolerance of the floor the larger slope wins
+        if value > floor + 1e-12:
+            return slope
+        return max(slope, 0.0) if value >= floor - 1e-12 else 0.0
+
+    kept = -max(-hi, alpha - 1.0) - max(lo, alpha)
+    return tuple(
+        right(kept, -right(-hi, hi - a, alpha - 1.0) - right(lo, b - lo, alpha), 0.0)
+        for a, b in ((0, 0), (1, 0), (1, 1))
+    )
+
+
 def exact_influence(t, f, y):
     """The exact influence at one y, computed atom by atom.
 
@@ -547,6 +587,13 @@ class TestVectorizedProfile:
                 if t.kind is Functional.MEDIAN:
                     continue  # may jump; covered by the fixed cases
                 self.assert_matches_oracle(t, f, self.probes_around(f))
+
+    @given(tied_rows())
+    def test_tied_rows_match_the_oracle(self, rows):
+        # cumulative edges fall on the trim levels, where y takes the quantile
+        f = EmpiricalDistribution(*rows)
+        for alpha in (0.0, 0.1, 0.25, 0.4):
+            self.assert_matches_oracle(trimmed_mean(alpha), f, self.probes_around(f))
 
     def test_median_jump_in_probes_raises(self):
         f = dist((0.0, 0.5), (10.0, 0.5))
