@@ -106,9 +106,11 @@ def _cmd_analyze(args) -> tuple[str | None, dict]:
     from .fileio import read_matrix_csv
     from .linop import linear_parameter_identifiable
 
-    kappa_threshold = args.kappa_threshold
-    if kappa_threshold is None:
-        kappa_threshold = diagnostics.DEFAULT_KAPPA_THRESHOLD
+    kappa_threshold = (
+        diagnostics.DEFAULT_KAPPA_THRESHOLD
+        if args.kappa_threshold is None
+        else args.kappa_threshold
+    )
     diagnostics._check_kappa_threshold(kappa_threshold)  # before the SVD that --param runs
     a = read_matrix_csv(args.matrix)
     # the identifiability test needs singular vectors; running it first lets

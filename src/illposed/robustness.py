@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from itertools import accumulate, chain, groupby, islice
+from itertools import accumulate, chain, groupby, islice, takewhile
 from operator import eq, itemgetter, mul
 
 from .errors import InvalidInputError, NumericalFailureError
@@ -175,8 +175,9 @@ def _influence_over(t: FunctionalKind, f: EmpiricalDistribution):
         for y in ys:
             if y > median:
                 raise NumericalFailureError(
-                    f"influence quotient does not converge at y = {y}: the median {median!r} "
-                    "holds cumulative weight 1/2 and jumps under contamination above it"
+                    f"influence quotient does not converge at y = {y}: the median "
+                    f"{median!r} holds cumulative weight 1/2 and jumps under "
+                    "contamination above it"
                 )
         return [0.0] * len(ys)
 
@@ -184,36 +185,52 @@ def _influence_over(t: FunctionalKind, f: EmpiricalDistribution):
 
 
 def _winsorized_score(t: FunctionalKind, f: EmpiricalDistribution):
-    """The trimmed-mean influence as a function of ys, O(1) each after O(m) setup.
+    """The trimmed-mean influence as a function of ascending ys, O(1) each after O(m) setup.
 
     The Winsorized score (Huber, Ann. Math. Stat. 35:73, 1964; Hampel et al.,
     Robust Statistics, 1986, 2.3): IF(y) = (psi - alpha q_lo - alpha q_hi) /
     (1 - 2 alpha) - T(F), with trim quantiles q_lo = clamp(y, a, b) and q_hi =
     clamp(y, c, d) as eps -> 0+, and psi = y clamped to them, which is
     clamp(y, a, d) as b <= c.  The mean is alpha = 0: a = -inf, d = +inf.
+    It is constant below a and from d on, and between them a line
+    (y - root) * slope that bends where a trim quantile starts to move.
     """
-    alpha = t.trim_fraction or 0.0
+    alpha, m, inf = t.trim_fraction or 0.0, len(f.locations), math.inf
     value, scale = evaluate(t, f), 1.0 - 2.0 * alpha
-    cum, ends = [0.0, *accumulate(f.weights)], (-math.inf, *f.locations, math.inf)
-    (a, b), (c, d) = _bracket(ends, cum, alpha), _bracket(ends, cum, 1.0 - alpha)
-    # psi - T(F) + alpha (psi - q_lo + psi - q_hi) / (1 - 2 alpha), exact at psi = q_lo = q_hi
-    return lambda ys: [
-        u - value + (alpha * u - alpha * ql + (alpha * u - alpha * qh)) / scale
-        for y in ys for u in (a if y < a else d if d < y else y,)  # min and max calls cost 4x
-        for ql, qh in ((u if u < b else b, c if u < c else u),)
-    ]
 
+    def edges_near(weights):  # cumulative edges below alpha by over 1e-12, and to 1e-12 above
+        edges = list(takewhile((alpha + _WEIGHT_TOL).__ge__, accumulate(weights, initial=0.0)))
+        return bisect_left(edges, alpha - _WEIGHT_TOL), len(edges)
 
-def _bracket(ends, cum: list[float], level: float) -> tuple[float, float]:
-    """[a, b] such that clamp(y, a, b) is the quantile at ``level`` as eps -> 0+.
+    # each trim level counts weight from its own end, so alpha = 0 puts a at -inf and
+    # d at +inf however the sums round; edge p lies between locations p - 1 and p
+    (lo, hi), (top_lo, top_hi) = edges_near(f.weights), edges_near(reversed(f.weights))
+    a, b, c, d = (f.locations[p - 1] if 0 < p <= m else inf if p else -inf
+                  for p in (lo, hi, m + 1 - top_hi, m + 1 - top_lo))
 
-    Edge k of ``cum`` lies between ``ends[k]`` and ``ends[k + 1]``, and edges
-    lo..hi-1 lie within 1e-12 of the level; with none, atom lo - 1 straddles it.
-    """
-    lo = bisect_left(cum, level - _WEIGHT_TOL)
-    hi = bisect_left(cum, math.nextafter(level + _WEIGHT_TOL, math.inf))
-    # naive prefix sums may end more than 1e-12 below 1 while the fsum does not
-    return ends[min(lo, len(cum) - 1)], ends[hi]
+    # the tails, where psi and one trim quantile stay at a or d: no partial sum
+    # overflows, and an atom that pins both quantiles gives exactly 0
+    low = a - value + (alpha * a - alpha * c) / scale
+    high = d - value + (alpha * d - alpha * b) / scale
+
+    def line(*pinned):  # (root, slope) while the quantiles in ``pinned`` stay put
+        rise = scale + alpha * len(pinned)
+        return (scale * value + sum(alpha * q for q in pinned)) / rise, rise / scale
+
+    (ra, sa), (rb, sb), (rc, sc) = line(c), (line(b, c) if b <= c else line()), line(b)
+
+    def values(ys):
+        head = bisect_left(ys, a)
+        tail = max(head, bisect_left(ys, d))
+        i, j = (max(head, min(bisect_left(ys, x), tail)) for x in sorted((b, c)))
+        # the middle line serves most ys, at slope one (alpha = 0) as a shift
+        # alone; the runs outside it are mended in place
+        out = [(y - rb) * sb for y in ys] if sb != 1.0 else [y - rb for y in ys]
+        out[:i] = [low] * head + [(y - ra) * sa for y in islice(ys, head, i)]
+        out[j:] = [(y - rc) * sc for y in islice(ys, j, tail)] + [high] * (len(ys) - tail)
+        return out
+
+    return values
 
 
 class InfluenceProfile(Record):
@@ -249,7 +266,8 @@ def influence_profile(
         variance = math.fsum(map(mul, f.weights, map(mul, at_atoms, at_atoms)))
     except OverflowError:  # finite terms whose sum passes the float range
         variance = math.inf
-    if not all(map(math.isfinite, chain(values, at_atoms, [variance]))):
+    # a finite variance leaves every value at the atoms finite
+    if not all(map(math.isfinite, chain(values, [variance]))):
         raise NumericalFailureError("the influence or its variance overflows the float range")
     unbounded = t.kind is not Functional.MEDIAN and not t.trim_fraction
     gamma = math.inf if unbounded else max(map(abs, values))

@@ -183,7 +183,7 @@ class TestAnalyze:
         ],
         ids=["alone", "param", "kappa-param"],
     )
-    def test_bad_rtol_exits_before_any_lapack_call(
+    def test_option_error_exits_before_any_lapack_call(
         self, workdir, monkeypatch, capsys, flags, message
     ):
         monkeypatch.chdir(workdir)

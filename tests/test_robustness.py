@@ -331,6 +331,17 @@ class TestInfluenceFunction:
         assert zero.values[0] == -5.0 - evaluate(MEAN, f)
         assert zero.asymptotic_variance == mean.asymptotic_variance
 
+    def test_zero_trim_on_overshooting_prefix_sums_is_the_mean(self):
+        # the fsum is 1 + 7.5e-13, but each 1.2e-16 step above 1 rounds up to
+        # one ulp, so the naive prefix sums pass 1 + 1e-12 near atom 8,560
+        f = EmpiricalDistribution(np.arange(10001.0), [1 - 4.5e-13] + [1.2e-16] * 10000)
+        assert list(accumulate(f.weights))[8600] > 1 + 1e-12
+        probes = [-5.0, 9000.0, 9999.5, 2e5]
+        want = [y - evaluate(MEAN, f) for y in probes]
+        mean, zero = (influence_profile(t, f, probes) for t in (MEAN, trimmed_mean(0.0)))
+        assert list(mean.values) == list(zero.values) == want
+        assert zero.asymptotic_variance == mean.asymptotic_variance
+
     @given(st.floats(-1e6, 1e6))
     def test_mean_influence_is_residual(self, y):
         mu = evaluate(MEAN, UNIFORM9)
