@@ -24,7 +24,6 @@ from .records import Record, ValueRecord
 
 
 class Functional(str, enum.Enum):
-    MEAN = "MEAN"
     MEDIAN = "MEDIAN"
     TRIMMED_MEAN = "TRIMMED_MEAN"
 
@@ -43,12 +42,12 @@ class FunctionalKind(ValueRecord):
         super().__init__(kind, trim_fraction)
 
 
-MEAN = FunctionalKind(Functional.MEAN)
-MEDIAN = FunctionalKind(Functional.MEDIAN)
-
-
 def trimmed_mean(trim_fraction: float) -> FunctionalKind:
     return FunctionalKind(Functional.TRIMMED_MEAN, trim_fraction)
+
+
+MEAN = trimmed_mean(0.0)
+MEDIAN = FunctionalKind(Functional.MEDIAN)
 
 
 # cumulative-weight comparisons share the weight-sum tolerance
@@ -103,18 +102,18 @@ class EmpiricalDistribution(Record):
 def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
     """Value of the functional at a distribution.
 
-    MEAN is the weighted average.  MEDIAN is the smallest location where
-    the cumulative weight reaches 0.5 (generalized-inverse convention,
-    which makes the median single-valued).  TRIMMED_MEAN removes
-    trim_fraction of mass from each tail, splitting atoms proportionally,
-    and averages what remains.  A value past the float range, which weights
+    MEDIAN is the smallest location where the cumulative weight reaches 0.5
+    (generalized-inverse convention, which makes the median single-valued).
+    TRIMMED_MEAN removes trim_fraction of mass from each tail, splitting
+    atoms proportionally, and averages what remains; MEAN trims nothing and
+    is the weighted average.  A value past the float range, which weights
     summing above 1 within the tolerance allow, raises NumericalFailureError.
     """
     if t.kind is Functional.MEDIAN:
-        return f.locations[_median_index(list(accumulate(f.weights)))]
-    alpha = t.trim_fraction or 0.0  # None for the mean
+        return f.locations[_edges_near(f.weights, 0.5)[0] - 1]
+    alpha = t.trim_fraction
     top = 1.0 - alpha
-    kept = f.weights if not alpha else (  # the mean, or a trimmed mean that trims nothing
+    kept = f.weights if not alpha else (  # the mean keeps every weight whole
         k if k >= 0.0 else 0.0  # max(min(hi, top) - max(lo, alpha), 0.0), without the calls
         for hi, w in zip(accumulate(f.weights), f.weights)
         for k in ((hi if hi <= top else top) - (hi - w if hi - w >= alpha else alpha),)
@@ -128,9 +127,11 @@ def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
     return value
 
 
-def _median_index(cum: list[float]) -> int:
-    # first atom whose cumulative weight reaches 1/2, within the tolerance
-    return min(bisect_left(cum, 0.5 - _WEIGHT_TOL), len(cum) - 1)
+def _edges_near(weights, level: float) -> tuple[int, int]:
+    # (lo, hi): cumulative edges below level by over 1e-12, and to 1e-12 above;
+    # edge p, the weight of the first p atoms, lies between locations p - 1 and p
+    edges = list(takewhile((level + _WEIGHT_TOL).__ge__, accumulate(weights, initial=0.0)))
+    return bisect_left(edges, level - _WEIGHT_TOL), len(edges)
 
 
 def contaminate(f: EmpiricalDistribution, eps: float, y: float) -> EmpiricalDistribution:
@@ -151,10 +152,10 @@ def influence_function(t: FunctionalKind, f: EmpiricalDistribution, y: float) ->
     """Exact one-sided derivative of the functional toward a point mass at y.
 
     The right derivative at eps -> 0+ of T((1 - eps) F + eps * delta_y).
-    MEAN gives y - mean(F).  TRIMMED_MEAN gives the Winsorized score, y
-    clamped to the trim quantiles of the contaminated distribution, centred
-    and scaled; at a cumulative edge within 1e-12 of a trim level, y takes
-    that quantile between the locations beside the edge.
+    TRIMMED_MEAN gives the Winsorized score, y clamped to the trim quantiles
+    of the contaminated distribution, centred and scaled (y - mean(F) for
+    MEAN); at a cumulative edge within 1e-12 of a trim level, y takes that
+    quantile between the locations beside the edge.
     MEDIAN gives 0 unless the median sits on an atom whose cumulative weight
     is 1/2 within 1e-12 and y lies above it: then the median jumps to a
     later location for every eps > 0, the influence quotient does not
@@ -167,9 +168,8 @@ def _influence_over(t: FunctionalKind, f: EmpiricalDistribution):
     """:func:`influence_function` as a function of ascending finite ys."""
     if t.kind is not Functional.MEDIAN:
         return _winsorized_score(t, f)
-    cum = list(accumulate(f.weights))
-    idx = _median_index(cum)
-    median = f.locations[idx] if abs(cum[idx] - 0.5) <= _WEIGHT_TOL else math.inf
+    lo, hi = _edges_near(f.weights, 0.5)
+    median = f.locations[lo - 1] if lo < hi else math.inf  # an edge on 1/2: the median jumps
 
     def values(ys):
         for y in ys:
@@ -195,16 +195,12 @@ def _winsorized_score(t: FunctionalKind, f: EmpiricalDistribution):
     It is constant below a and from d on, and between them a line
     (y - root) * slope that bends where a trim quantile starts to move.
     """
-    alpha, m, inf = t.trim_fraction or 0.0, len(f.locations), math.inf
+    alpha, m, inf = t.trim_fraction, len(f.locations), math.inf
     value, scale = evaluate(t, f), 1.0 - 2.0 * alpha
-
-    def edges_near(weights):  # cumulative edges below alpha by over 1e-12, and to 1e-12 above
-        edges = list(takewhile((alpha + _WEIGHT_TOL).__ge__, accumulate(weights, initial=0.0)))
-        return bisect_left(edges, alpha - _WEIGHT_TOL), len(edges)
-
-    # each trim level counts weight from its own end, so alpha = 0 puts a at -inf and
-    # d at +inf however the sums round; edge p lies between locations p - 1 and p
-    (lo, hi), (top_lo, top_hi) = edges_near(f.weights), edges_near(reversed(f.weights))
+    # each trim level counts weight from its own end, so alpha = 0 puts a at -inf
+    # and d at +inf however the sums round
+    lo, hi = _edges_near(f.weights, alpha)
+    top_lo, top_hi = _edges_near(reversed(f.weights), alpha)
     a, b, c, d = (f.locations[p - 1] if 0 < p <= m else inf if p else -inf
                   for p in (lo, hi, m + 1 - top_hi, m + 1 - top_lo))
 
@@ -236,14 +232,13 @@ def _winsorized_score(t: FunctionalKind, f: EmpiricalDistribution):
 class InfluenceProfile(Record):
     """Influence values over probe points plus the derived sensitivity summary.
 
-    ``unbounded_flag`` says whether |IF| is unbounded over the whole line,
-    which is a property of the functional.  ``gross_error_sensitivity`` is
-    +inf when it is set, and otherwise the maximum |IF| over the probes; a
-    trimmed mean's supremum, max(|IF(-inf)|, |IF(+inf)|), may lie off them.
+    ``gross_error_sensitivity`` is +inf when |IF| is unbounded over the whole
+    line, which is a property of the functional, and otherwise the maximum
+    |IF| over the probes; a trimmed mean's supremum, max(|IF(-inf)|,
+    |IF(+inf)|), may lie off them.
     """
 
-    __slots__ = ("probe_points", "values", "gross_error_sensitivity", "unbounded_flag",
-                 "asymptotic_variance")
+    __slots__ = ("probe_points", "values", "gross_error_sensitivity", "asymptotic_variance")
 
 
 def influence_profile(
@@ -251,8 +246,8 @@ def influence_profile(
 ) -> InfluenceProfile:
     """Influence function over sorted probes, with sensitivity and variance summaries.
 
-    The unbounded flag is set for the mean and a trimmed mean that trims
-    nothing, whose influence y - mean(F) is unbounded in y.  The median and
+    The gross-error sensitivity is +inf for the mean, the trimmed mean that
+    trims nothing, whose influence y - mean(F) is unbounded in y.  The median and
     a trimmed mean with trim_fraction > 0 are monotone in the data and
     saturate, so their influence is bounded; for them the gross-error
     sensitivity is the maximum |IF| over the probes.  The asymptotic
@@ -269,13 +264,11 @@ def influence_profile(
     # a finite variance leaves every value at the atoms finite
     if not all(map(math.isfinite, chain(values, [variance]))):
         raise NumericalFailureError("the influence or its variance overflows the float range")
-    unbounded = t.kind is not Functional.MEDIAN and not t.trim_fraction
-    gamma = math.inf if unbounded else max(map(abs, values))
+    gamma = math.inf if t.trim_fraction == 0.0 else max(map(abs, values))
     return InfluenceProfile(
         probe_points=probes,
         values=values,
         gross_error_sensitivity=gamma,
-        unbounded_flag=unbounded,
         asymptotic_variance=variance,
     )
 

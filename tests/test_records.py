@@ -42,7 +42,6 @@ def make(name):
             probe_points=(1.0, 2.0),
             values=(0.5, -0.5),
             gross_error_sensitivity=0.5,
-            unbounded_flag=False,
             asymptotic_variance=0.25,
         ),
         "AttackResult": lambda: AttackResult(y=3.0, achieved=1.5, distance=0.5),
@@ -79,8 +78,7 @@ FIELDS = {
     "FunctionalKind": ("kind", "trim_fraction"),
     "EmpiricalDistribution": ("locations", "weights"),
     "InfluenceProfile": (
-        "probe_points", "values", "gross_error_sensitivity", "unbounded_flag",
-        "asymptotic_variance",
+        "probe_points", "values", "gross_error_sensitivity", "asymptotic_variance",
     ),
     "AttackResult": ("y", "achieved", "distance"),
     "DenseOperator": ("matrix",),
@@ -105,7 +103,7 @@ REPRS = {
     "EmpiricalDistribution": "EmpiricalDistribution(locations=(1.0, 2.0), weights=(0.25, 0.75))",
     "InfluenceProfile": (
         "InfluenceProfile(probe_points=(1.0, 2.0), values=(0.5, -0.5), "
-        "gross_error_sensitivity=0.5, unbounded_flag=False, asymptotic_variance=0.25)"
+        "gross_error_sensitivity=0.5, asymptotic_variance=0.25)"
     ),
     "AttackResult": "AttackResult(y=3.0, achieved=1.5, distance=0.5)",
     # the numpy layers' records print as the dataclasses they replace did
@@ -235,10 +233,14 @@ def test_value_records_differ_by_any_field():
     assert MEAN != FiniteMap(1, 1, (0,))
 
 
-def test_functional_kind_defaults_to_no_trim():
-    assert FunctionalKind(Functional.MEAN) == MEAN
-    assert MEAN.trim_fraction is None
-    assert repr(MEAN) == "FunctionalKind(kind=<Functional.MEAN: 'MEAN'>, trim_fraction=None)"
+def test_mean_is_the_trimmed_mean_that_trims_nothing():
+    assert MEAN == trimmed_mean(0.0)
+    assert hash(MEAN) == hash(trimmed_mean(0.0))
+    assert repr(MEAN) == (
+        "FunctionalKind(kind=<Functional.TRIMMED_MEAN: 'TRIMMED_MEAN'>, trim_fraction=0.0)"
+    )
+    # a kind without a trim fraction takes none
+    assert FunctionalKind(Functional.MEDIAN).trim_fraction is None
 
 
 def test_keyword_construction():

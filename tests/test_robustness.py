@@ -150,7 +150,7 @@ class TestFunctionalKind:
 
     def test_trim_fraction_only_for_trimmed(self):
         with pytest.raises(InvalidInputError):
-            FunctionalKind(Functional.MEAN, trim_fraction=0.1)
+            FunctionalKind(Functional.MEDIAN, trim_fraction=0.1)
 
 
 class TestEvaluate:
@@ -354,17 +354,14 @@ class TestInfluenceProfile:
 
     def test_mean_unbounded(self):
         profile = influence_profile(MEAN, UNIFORM9, self.PROBES)
-        assert profile.unbounded_flag
         assert profile.gross_error_sensitivity == np.inf
 
     def test_median_bounded(self):
         profile = influence_profile(MEDIAN, UNIFORM9, self.PROBES)
-        assert not profile.unbounded_flag
         assert np.isfinite(profile.gross_error_sensitivity)
 
     def test_trimmed_mean_bounded(self):
         profile = influence_profile(trimmed_mean(0.25), UNIFORM9, self.PROBES)
-        assert not profile.unbounded_flag
         assert np.isfinite(profile.gross_error_sensitivity)
 
     def test_asymptotic_variance_of_mean_is_variance(self):
@@ -387,7 +384,7 @@ class TestInfluenceProfile:
         f = EmpiricalDistribution(x, np.full(m, 1 / m))
         probes = np.geomspace(0.5, 50.0, 16)
         profile = influence_profile(t, f, probes)
-        assert not profile.unbounded_flag
+        assert math.isfinite(profile.gross_error_sensitivity)
         base = evaluate(t, f)
         # the first kink past eps = 0+ is at eps ~ 1/m, so one step of 1e-7
         # gives the right slope up to rounding
@@ -436,7 +433,6 @@ class TestInfluenceProfile:
                     (trimmed_mean(0.1), False), (trimmed_mean(0.4), False)]
         for t, unbounded in verdicts:
             profile = influence_profile(t, UNIFORM9, probes)
-            assert profile.unbounded_flag is unbounded
             want = math.inf if unbounded else max(map(abs, profile.values))
             assert profile.gross_error_sensitivity == want
 
@@ -450,8 +446,8 @@ class TestInfluenceProfile:
             except NumericalFailureError:  # a median that jumps; the message names y
                 return "fails"
             return (tuple(math.ldexp(v, -k) for v in p.values),
-                    math.ldexp(p.gross_error_sensitivity, -k),
-                    p.unbounded_flag, math.ldexp(p.asymptotic_variance, -2 * k))
+                    math.ldexp(p.gross_error_sensitivity, -k),  # +inf for an unbounded IF
+                    math.ldexp(p.asymptotic_variance, -2 * k))
 
         locs, weights = rows
         probes = [-7.0, -0.5, 0.0, 1.0, 2.5, 7.0]
@@ -508,11 +504,12 @@ def _kept_slopes(hi: float, lo: float, alpha: float) -> tuple[float, float, floa
 def exact_influence(t, f, y):
     """The exact influence at one y, computed atom by atom.
 
-    MEAN gives y - mean.  MEDIAN gives 0: the cases that use this keep every
-    cumulative weight off 1/2, where the median jumps.  TRIMMED_MEAN
-    differentiates each atom's kept weight with y joined to the atoms.
+    MEAN, the trimmed mean that trims nothing, gives y - mean.  MEDIAN
+    gives 0: the cases that use this keep every cumulative weight off 1/2,
+    where the median jumps.  Any other trimmed mean differentiates each
+    atom's kept weight with y joined to the atoms.
     """
-    if t.kind is Functional.MEAN:
+    if t.trim_fraction == 0.0:
         return y - evaluate(MEAN, f)
     if t.kind is Functional.MEDIAN:
         return 0.0
@@ -529,6 +526,52 @@ def exact_influence(t, f, y):
         for hi, wi, x in zip(accumulate(w), w, loc)
     ]
     return math.fsum(map(mul, loc, d_kept)) / (1.0 - 2.0 * alpha)
+
+
+def _median_index(cum: list[float]) -> int:
+    """The median's atom from the full prefix sums of the weights.
+
+    The first atom whose cumulative weight reaches 1/2 within 1e-12, or the
+    last atom.  The median jumps under contamination above it when that
+    cumulative weight is 1/2 within 1e-12.
+    """
+    return min(bisect_left(cum, 0.5 - 1e-12), len(cum) - 1)
+
+
+class TestMedianOracle:
+    """The median's edge search against the prefix-sum rule."""
+
+    @staticmethod
+    def assert_matches_oracle(f):
+        cum = list(accumulate(f.weights))
+        idx = _median_index(cum)
+        median = f.locations[idx]
+        assert evaluate(MEDIAN, f) == median
+        for y in (median + 1.0, *f.locations[idx + 1:idx + 3]):  # ys above the median
+            if abs(cum[idx] - 0.5) <= 1e-12:
+                with pytest.raises(NumericalFailureError, match="converge"):
+                    influence_function(MEDIAN, f, y)
+            else:
+                assert influence_function(MEDIAN, f, y) == 0.0
+
+    @given(tied_rows())
+    def test_tied_rows_match_the_oracle(self, rows):
+        # integer weights put many cumulative edges exactly on 1/2
+        self.assert_matches_oracle(EmpiricalDistribution(*rows))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1 - 4.5e-13] + [1.2e-16] * 10000,  # prefix sums pass 1 + 1e-12
+            [1 - 1.5e-12] + [1e-17] * 100000,  # prefix sums end 1.5e-12 below 1
+            [0.5 - 5e-13, 0.5 + 5e-13],  # an edge within the tolerance below 1/2
+            [0.5 + 5e-13, 0.5 - 5e-13],  # and above it
+            [0.5 - 2e-12, 0.5 + 2e-12],  # an edge just past it
+        ],
+        ids=["overshooting", "drifted", "edge-just-below", "edge-just-above", "edge-past"],
+    )
+    def test_edges_near_the_tolerance_match_the_oracle(self, weights):
+        self.assert_matches_oracle(EmpiricalDistribution(np.arange(len(weights)), weights))
 
 
 def oracle_profile(t, f, probes):
