@@ -13,7 +13,6 @@ from those that saturate (median, trimmed mean).
 
 from __future__ import annotations
 
-import enum
 import math
 from bisect import bisect_left
 from itertools import accumulate, chain, groupby, islice, takewhile
@@ -23,31 +22,23 @@ from .errors import InvalidInputError, NumericalFailureError
 from .records import Record, ValueRecord
 
 
-class Functional(str, enum.Enum):
-    MEDIAN = "MEDIAN"
-    TRIMMED_MEAN = "TRIMMED_MEAN"
-
-
 class FunctionalKind(ValueRecord):
-    """A functional of distributions; trim_fraction applies to TRIMMED_MEAN only."""
+    """A trimmed mean by its trim_fraction in [0, 0.5), the mean at 0; None is the median."""
 
-    __slots__ = ("kind", "trim_fraction")
+    __slots__ = ("trim_fraction",)
 
-    def __init__(self, kind: Functional, trim_fraction: float | None = None):
-        if kind is Functional.TRIMMED_MEAN:
-            if trim_fraction is None or not 0.0 <= trim_fraction < 0.5:
-                raise InvalidInputError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
-        elif trim_fraction is not None:
-            raise InvalidInputError("trim_fraction is only valid for TRIMMED_MEAN")
-        super().__init__(kind, trim_fraction)
+    def __init__(self, trim_fraction: float | None):
+        if trim_fraction is not None and not 0.0 <= trim_fraction < 0.5:
+            raise InvalidInputError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
+        super().__init__(trim_fraction)
 
 
 def trimmed_mean(trim_fraction: float) -> FunctionalKind:
-    return FunctionalKind(Functional.TRIMMED_MEAN, trim_fraction)
+    return FunctionalKind(trim_fraction)
 
 
 MEAN = trimmed_mean(0.0)
-MEDIAN = FunctionalKind(Functional.MEDIAN)
+MEDIAN = FunctionalKind(None)
 
 
 # cumulative-weight comparisons share the weight-sum tolerance
@@ -104,12 +95,12 @@ def evaluate(t: FunctionalKind, f: EmpiricalDistribution) -> float:
 
     MEDIAN is the smallest location where the cumulative weight reaches 0.5
     (generalized-inverse convention, which makes the median single-valued).
-    TRIMMED_MEAN removes trim_fraction of mass from each tail, splitting
+    A trimmed mean removes trim_fraction of mass from each tail, splitting
     atoms proportionally, and averages what remains; MEAN trims nothing and
     is the weighted average.  A value past the float range, which weights
     summing above 1 within the tolerance allow, raises NumericalFailureError.
     """
-    if t.kind is Functional.MEDIAN:
+    if t.trim_fraction is None:
         return f.locations[_edges_near(f.weights, 0.5)[0] - 1]
     alpha = t.trim_fraction
     top = 1.0 - alpha
@@ -152,7 +143,7 @@ def influence_function(t: FunctionalKind, f: EmpiricalDistribution, y: float) ->
     """Exact one-sided derivative of the functional toward a point mass at y.
 
     The right derivative at eps -> 0+ of T((1 - eps) F + eps * delta_y).
-    TRIMMED_MEAN gives the Winsorized score, y clamped to the trim quantiles
+    A trimmed mean gives the Winsorized score, y clamped to the trim quantiles
     of the contaminated distribution, centred and scaled (y - mean(F) for
     MEAN); at a cumulative edge within 1e-12 of a trim level, y takes that
     quantile between the locations beside the edge.
@@ -166,7 +157,7 @@ def influence_function(t: FunctionalKind, f: EmpiricalDistribution, y: float) ->
 
 def _influence_over(t: FunctionalKind, f: EmpiricalDistribution):
     """:func:`influence_function` as a function of ascending finite ys."""
-    if t.kind is not Functional.MEDIAN:
+    if t.trim_fraction is not None:
         return _winsorized_score(t, f)
     lo, hi = _edges_near(f.weights, 0.5)
     median = f.locations[lo - 1] if lo < hi else math.inf  # an edge on 1/2: the median jumps

@@ -23,9 +23,9 @@ from illposed.fredholm import (
 from illposed.linop import DenseOperator, SvdFactors
 from illposed.robustness import (
     MEAN,
+    MEDIAN,
     AttackResult,
     EmpiricalDistribution,
-    Functional,
     FunctionalKind,
     InfluenceProfile,
     trimmed_mean,
@@ -36,7 +36,7 @@ def make(name):
     """A fresh record of the named class, equal in value on every call."""
     return {
         "FiniteMap": lambda: FiniteMap(2, 3, (0, 1)),
-        "FunctionalKind": lambda: FunctionalKind(Functional.TRIMMED_MEAN, 0.25),
+        "FunctionalKind": lambda: FunctionalKind(0.25),
         "EmpiricalDistribution": lambda: EmpiricalDistribution([2.0, 1.0], [0.75, 0.25]),
         "InfluenceProfile": lambda: InfluenceProfile(
             probe_points=(1.0, 2.0),
@@ -75,7 +75,7 @@ def make(name):
 
 FIELDS = {
     "FiniteMap": ("domain_size", "codomain_size", "table"),
-    "FunctionalKind": ("kind", "trim_fraction"),
+    "FunctionalKind": ("trim_fraction",),
     "EmpiricalDistribution": ("locations", "weights"),
     "InfluenceProfile": (
         "probe_points", "values", "gross_error_sensitivity", "asymptotic_variance",
@@ -97,9 +97,7 @@ FIELDS = {
 
 REPRS = {
     "FiniteMap": "FiniteMap(domain_size=2, codomain_size=3, table=(0, 1))",
-    "FunctionalKind": (
-        "FunctionalKind(kind=<Functional.TRIMMED_MEAN: 'TRIMMED_MEAN'>, trim_fraction=0.25)"
-    ),
+    "FunctionalKind": "FunctionalKind(trim_fraction=0.25)",
     "EmpiricalDistribution": "EmpiricalDistribution(locations=(1.0, 2.0), weights=(0.25, 0.75))",
     "InfluenceProfile": (
         "InfluenceProfile(probe_points=(1.0, 2.0), values=(0.5, -0.5), "
@@ -236,16 +234,15 @@ def test_value_records_differ_by_any_field():
 def test_mean_is_the_trimmed_mean_that_trims_nothing():
     assert MEAN == trimmed_mean(0.0)
     assert hash(MEAN) == hash(trimmed_mean(0.0))
-    assert repr(MEAN) == (
-        "FunctionalKind(kind=<Functional.TRIMMED_MEAN: 'TRIMMED_MEAN'>, trim_fraction=0.0)"
-    )
-    # a kind without a trim fraction takes none
-    assert FunctionalKind(Functional.MEDIAN).trim_fraction is None
+    assert repr(MEAN) == "FunctionalKind(trim_fraction=0.0)"
+    # the median is the one functional without a trim fraction
+    assert MEDIAN == FunctionalKind(None)
+    assert hash(MEDIAN) == hash(FunctionalKind(None))
 
 
 def test_keyword_construction():
     assert FiniteMap(domain_size=1, codomain_size=2, table=[1]) == FiniteMap(1, 2, (1,))
-    assert FunctionalKind(kind=Functional.MEDIAN, trim_fraction=None).kind is Functional.MEDIAN
+    assert FunctionalKind(trim_fraction=None) == MEDIAN
     dist = EmpiricalDistribution(locations=(1.0,), weights=(1.0,))
     assert tuple(zip(dist.locations, dist.weights)) == ((1.0, 1.0),)
 

@@ -13,7 +13,6 @@ from illposed.robustness import (
     MEAN,
     MEDIAN,
     EmpiricalDistribution,
-    Functional,
     FunctionalKind,
     contaminate,
     evaluate,
@@ -140,17 +139,24 @@ class TestEmpiricalDistribution:
 
 
 class TestFunctionalKind:
-    def test_trim_fraction_range(self):
-        trimmed_mean(0.0)
-        trimmed_mean(0.49)
-        with pytest.raises(InvalidInputError):
-            trimmed_mean(0.5)
-        with pytest.raises(InvalidInputError):
-            trimmed_mean(-0.1)
+    @pytest.mark.parametrize(
+        "fraction, valid",
+        [(0.0, True), (0.49, True), (None, True), (0.5, False), (-0.1, False),
+         (math.nan, False), (math.inf, False), (-math.inf, False)],
+    )
+    def test_trim_fraction_range(self, fraction, valid):
+        # trimmed_mean builds the record for a number; the record for None is MEDIAN
+        message = r"trim_fraction must lie in \[0, 0.5\)"
+        for build in (FunctionalKind,) if fraction is None else (FunctionalKind, trimmed_mean):
+            if valid:
+                assert build(fraction).trim_fraction is fraction
+            else:
+                with pytest.raises(InvalidInputError, match=message):
+                    build(fraction)
 
-    def test_trim_fraction_only_for_trimmed(self):
-        with pytest.raises(InvalidInputError):
-            FunctionalKind(Functional.MEDIAN, trim_fraction=0.1)
+    def test_median_is_the_kind_without_a_trim_fraction(self):
+        assert MEDIAN.trim_fraction is None
+        assert FunctionalKind(None) == MEDIAN
 
 
 class TestEvaluate:
@@ -511,7 +517,7 @@ def exact_influence(t, f, y):
     """
     if t.trim_fraction == 0.0:
         return y - evaluate(MEAN, f)
-    if t.kind is Functional.MEDIAN:
+    if t.trim_fraction is None:
         return 0.0
     # y joins as a zero-weight atom unless it is already a location; the atom
     # at x takes entry [y <= x] + [y < x] of its slopes (y above, at, below x)
@@ -638,7 +644,7 @@ class TestVectorizedProfile:
             raw = rng.uniform(0.05, 1.0, n) if rng.random() < 0.5 else np.ones(n)
             f = EmpiricalDistribution(locs, raw / raw.sum())
             for t in self.KINDS:
-                if t.kind is Functional.MEDIAN:
+                if t.trim_fraction is None:
                     continue  # may jump; covered by the fixed cases
                 self.assert_matches_oracle(t, f, self.probes_around(f))
 
