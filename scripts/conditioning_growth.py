@@ -37,7 +37,7 @@ def main() -> None:
         print(
             f"{n:>5} {report.condition_number:12.4f} {lapack_kappa(k.matrix):12.4f} "
             f"{4 * n / np.pi:10.2f} {report.decay_exponent:12.4f}  "
-            f"{report.classification.value}"
+            f"{report.classification}"
         )
 
 

@@ -120,7 +120,7 @@ def _cmd_analyze(args) -> tuple[str | None, dict]:
         q = read_matrix_csv(args.param)
         extra["parameter_identifiable"] = linear_parameter_identifiable(a, q, rtol=args.rtol)
     report = diagnostics.diagnose(a, rtol=args.rtol, kappa_threshold=kappa_threshold)
-    return None, {**report.to_dict(), **extra}
+    return None, dict(zip(report._fields, report._values()), **extra)
 
 
 def _cmd_solve(args) -> tuple[str | None, dict]:

@@ -8,7 +8,6 @@ what the three-way classification reports.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -19,18 +18,13 @@ from .records import Record, ValueRecord
 from .regularization import tikhonov_solve
 
 
-class Classification(str, enum.Enum):
-    WELL_POSED = "WELL_POSED"
-    ILL_CONDITIONED = "ILL_CONDITIONED"
-    NON_IDENTIFIABLE = "NON_IDENTIFIABLE"
-
-
 DEFAULT_KAPPA_THRESHOLD = 1e8
 
 
 class DiagnosisReport(Record):
     """Outcome of :func:`diagnose` plus the numerical evidence.
 
+    ``classification`` is "WELL_POSED", "ILL_CONDITIONED" or "NON_IDENTIFIABLE".
     ``stability_constant`` is the smallest retained singular value: the
     constant c with ``||A theta|| >= c ||theta||`` on identifiable problems.
     ``decay_exponent`` is the fitted log-log slope of the singular spectrum
@@ -39,10 +33,6 @@ class DiagnosisReport(Record):
 
     __slots__ = ("identifiable", "numerical_rank", "sigma_max", "sigma_min", "condition_number",
                  "stability_constant", "classification", "spectrum", "decay_exponent")
-
-    def to_dict(self) -> dict:
-        fields = zip(self._fields, self._values())
-        return dict(fields, classification=self.classification.value, spectrum=list(self.spectrum))
 
 
 class StabilityBound(ValueRecord):
@@ -88,11 +78,11 @@ def diagnose(
         sigma_max = sigma_min = 0.0
         condition = float("inf")
     if not identifiable:
-        label = Classification.NON_IDENTIFIABLE
+        label = "NON_IDENTIFIABLE"
     elif condition > kappa_threshold:
-        label = Classification.ILL_CONDITIONED
+        label = "ILL_CONDITIONED"
     else:
-        label = Classification.WELL_POSED
+        label = "WELL_POSED"
     positive = full[full > 0]
     decay = spectrum_decay(positive) if positive.size >= 4 else None
     return DiagnosisReport(

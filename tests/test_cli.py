@@ -93,6 +93,25 @@ class TestAnalyze:
         assert report["classification"] == "WELL_POSED"
         assert report["condition_number"] == 1.0
 
+    def test_report_keys_and_classification_line(self, workdir, capsys):
+        # the report's fields in slot order, and the verdict as its plain
+        # string: an enum would print its repr or its name here
+        capsys.readouterr()
+        assert run(["analyze", str(workdir / "identity.csv")]) == 0
+        out = capsys.readouterr().out
+        assert list(strict_json(out)) == [
+            "identifiable",
+            "numerical_rank",
+            "sigma_max",
+            "sigma_min",
+            "condition_number",
+            "stability_constant",
+            "classification",
+            "spectrum",
+            "decay_exponent",
+        ]
+        assert '  "classification": "WELL_POSED",' in out.splitlines()
+
     @pytest.mark.parametrize("rows", ["0\n", "0,0\n0,0\n", "0,0,0\n0,0,0\n"])
     def test_zero_operator_condition_number_is_unbounded(self, tmp_path, rows):
         path = tmp_path / "zero.csv"

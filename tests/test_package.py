@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import pathlib
 import re
 import subprocess
@@ -117,3 +118,23 @@ def test_every_public_name_has_a_reader():
             if node.name not in read and not re.search(rf"\b{node.name}\b", docstring):
                 unread.append(f"{path.stem}.{node.name}")
     assert not unread, f"no reader: {', '.join(unread)}"
+
+
+def test_tracer_names_exist():
+    # the benchmark's tracer wraps these names, given as strings, and its
+    # Tracer.install raises AttributeError on one that is gone; loaded by
+    # path, as it imports only the standard library
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{layer}.{name}"
+        for table in (tracing.SPANNED, tracing.COUNTED)
+        for layer, names in table.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"illposed.{layer}"), name, None))
+    ]
+    assert not missing, f"the tracer names these, and they are gone: {', '.join(missing)}"
+    from illposed import finite_maps
+
+    assert callable(finite_maps.enumerate_sections.cache_info)

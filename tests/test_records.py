@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from illposed.diagnostics import Classification, DiagnosisReport, StabilityBound
+from illposed.diagnostics import DiagnosisReport, StabilityBound
 from illposed.finite_maps import FiniteMap
 from illposed.fredholm import (
     FredholmProblem,
@@ -60,7 +60,7 @@ def make(name):
             sigma_min=0.5,
             condition_number=4.0,
             stability_constant=0.5,
-            classification=Classification.WELL_POSED,
+            classification="WELL_POSED",
             spectrum=(2.0, 0.5),
             decay_exponent=None,
         ),
@@ -114,7 +114,7 @@ REPRS = {
     "DiagnosisReport": (
         "DiagnosisReport(identifiable=True, numerical_rank=2, sigma_max=2.0, sigma_min=0.5, "
         "condition_number=4.0, stability_constant=0.5, "
-        "classification=<Classification.WELL_POSED: 'WELL_POSED'>, spectrum=(2.0, 0.5), "
+        "classification='WELL_POSED', spectrum=(2.0, 0.5), "
         "decay_exponent=None)"
     ),
     "StabilityBound": "StabilityBound(lhs=0.5, rhs=1.0, holds=True)",
