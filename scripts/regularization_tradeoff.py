@@ -22,7 +22,7 @@ import argparse
 import numpy as np
 
 from illposed.errors import NoSolutionError
-from illposed.fredholm import Grid, oscillation_delta, ramp_problem, ramp_rhs, solve_unregularized
+from illposed.fredholm import oscillation_delta, ramp_problem, ramp_rhs, solve_unregularized
 from illposed.regularization import discrepancy_select, tikhonov_solve
 
 
@@ -36,7 +36,7 @@ def main() -> None:
     problem = ramp_problem(args.n, args.n_osc)
     k, d = problem.operator, problem.rhs
     delta = oscillation_delta(args.n_osc)
-    noise = float(np.linalg.norm(d - ramp_rhs(Grid(args.n))))
+    noise = float(np.linalg.norm(d - ramp_rhs(args.n)))
     interior = int(0.9 * args.n)
 
     unreg = solve_unregularized(problem)

@@ -167,15 +167,15 @@ def _cmd_fredholm_demo(args) -> tuple[str | None, dict]:
 
     result = fredholm.run_instability_experiment(args.n, args.n_osc)
     problem = fredholm.ramp_problem(args.n, args.n_osc)
-    grid, rhs = problem.grid, problem.rhs
+    y, rhs = fredholm.ramp_rhs(args.n), problem.rhs
 
     header = ["y", "F_unperturbed", "F_perturbed", "f_recovered", "f_analytic"]
     columns = [
-        grid.points,
-        fredholm.ramp_rhs(grid),
+        y,
+        y,  # F(y) = y
         rhs,
         fredholm.solve_unregularized(problem),
-        fredholm.analytic_perturbed_solution(grid, args.n_osc),
+        fredholm.analytic_perturbed_solution(args.n, args.n_osc),
     ]
     summary = dict(zip(result._fields, result._values()))
     if args.lam is not None or args.noise is not None:

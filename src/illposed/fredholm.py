@@ -6,11 +6,11 @@ lower-triangular with constant entries.  Its inverse is first differences,
 which makes the instability of the problem reproducible in closed form: a
 right-hand-side wiggle of amplitude delta comes back as a solution wiggle
 of amplitude one.  That solve is the one O(n) first difference; a
-:class:`FredholmProblem` builds its n x n operator only on first use, when
-a regularized solve reads it.  The operator's singular value
-decomposition is known in closed form too, so the operator
-:func:`heaviside_operator` returns factors itself without LAPACK, and its
-condition number is exact.  :func:`regression_functional` shows that a
+:class:`FredholmProblem` is its right-hand side, whose length sets the grid,
+and builds its n x n operator on first use, when a regularized solve reads
+it.  The operator's singular value decomposition is known in closed form
+too, so :func:`heaviside_operator` returns factors itself without LAPACK,
+and its condition number is exact.  :func:`regression_functional` shows that a
 smooth functional of the density stays estimable while the density does not.
 """
 
@@ -26,42 +26,24 @@ from .linop import DenseOperator, _freeze, _vector
 from .records import Record, ValueRecord
 
 
-class Grid(Record):
-    """Uniform right-endpoint grid y_i = i/n, i = 1..n, on [0, 1]."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise InvalidInputError(f"grid size must be >= 1, got {n}")
-        super().__init__(n)
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.arange(1, self.n + 1) * self.h
-
-
 class FredholmProblem(Record):
-    """The cumulative-integration equation K f = F on a grid.
+    """The cumulative-integration equation K f = F on the grid y_i = i/n, n = len(F).
 
-    ``operator`` is :func:`heaviside_operator` of the grid size, built on
-    first read and cached; the unregularized solve never reads it.
+    ``operator`` is :func:`heaviside_operator` of n, built on first read and
+    cached; the unregularized solve never reads it.
     """
 
-    __slots__ = ("grid", "rhs", "__dict__")  # the dict holds the cached operator
+    __slots__ = ("rhs", "__dict__")  # the dict holds the cached operator
 
-    def __init__(self, grid: Grid, rhs):
-        if grid.n < 2:
-            raise InvalidInputError(f"need n >= 2 grid points, got {grid.n}")
-        super().__init__(grid, _freeze(_vector(rhs, grid.n, "rhs").copy()))
+    def __init__(self, rhs):
+        n = np.size(rhs)
+        if n < 2:
+            raise InvalidInputError(f"need n >= 2 grid points, got {n}")
+        super().__init__(_freeze(_vector(rhs, n, "rhs").copy()))
 
     @cached_property
     def operator(self) -> DenseOperator:
-        return heaviside_operator(self.grid.n)
+        return heaviside_operator(self.rhs.size)
 
 
 class _CumulativeOperator(DenseOperator):
@@ -132,23 +114,25 @@ def oscillation_delta(n_osc: int) -> float:
     return 1.0 / (2.0 * n_osc * math.pi)
 
 
-def ramp_rhs(grid: Grid, n_osc: int | None = None) -> np.ndarray:
-    """Right-hand side F(y) = y, optionally perturbed to y + delta*sin(y/delta).
+def ramp_rhs(n: int, n_osc: int | None = None) -> np.ndarray:
+    """Right-hand side F(y) = y on the grid y_i = i/n, i = 1..n, optionally perturbed.
 
-    With n_osc oscillations, delta = 1/(2*n_osc*pi), so the perturbation has
-    sup-norm delta and vanishes at y = 1.
+    Unperturbed, it is the grid itself.  With n_osc oscillations, it is
+    y + delta*sin(y/delta) with delta = 1/(2*n_osc*pi): the perturbation
+    has sup-norm delta and vanishes at y = 1.
     """
-    y = grid.points
+    if n < 1:
+        raise InvalidInputError(f"grid size must be >= 1, got {n}")
+    y = np.arange(1, n + 1) * (1.0 / n)
     if n_osc is None:
         return y
     delta = oscillation_delta(n_osc)
     return y + delta * np.sin(y / delta)
 
 
-def analytic_perturbed_solution(grid: Grid, n_osc: int) -> np.ndarray:
-    """Exact solution 1 + cos(y/delta) of the perturbed equation."""
-    delta = oscillation_delta(n_osc)
-    return 1.0 + np.cos(grid.points / delta)
+def analytic_perturbed_solution(n: int, n_osc: int) -> np.ndarray:
+    """Exact solution 1 + cos(y/delta) of the perturbed equation on n grid points."""
+    return 1.0 + np.cos(ramp_rhs(n) / oscillation_delta(n_osc))
 
 
 def ramp_problem(n: int, n_osc: int | None = None) -> FredholmProblem:
@@ -156,8 +140,7 @@ def ramp_problem(n: int, n_osc: int | None = None) -> FredholmProblem:
 
     O(n): the operator is built only when something reads ``operator``.
     """
-    grid = Grid(n)
-    return FredholmProblem(grid=grid, rhs=ramp_rhs(grid, n_osc))
+    return FredholmProblem(ramp_rhs(n, n_osc))
 
 
 def solve_unregularized(problem: FredholmProblem) -> np.ndarray:
@@ -167,7 +150,7 @@ def solve_unregularized(problem: FredholmProblem) -> np.ndarray:
     collapses to scaled first differences, f_i = (F_i - F_{i-1}) / h with
     F_0 = 0.
     """
-    return np.diff(problem.rhs, prepend=0.0) / problem.grid.h
+    return np.diff(problem.rhs, prepend=0.0) / (1.0 / problem.rhs.size)
 
 
 class InstabilityResult(ValueRecord):
@@ -185,14 +168,15 @@ def run_instability_experiment(n: int, n_osc: int) -> InstabilityResult:
     the grid resolves the oscillation instead of aliasing it.
     """
     delta = oscillation_delta(n_osc)
-    grid = Grid(n)
-    if grid.h > delta / 10:
+    y = ramp_rhs(n)
+    h = 1.0 / n
+    if h > delta / 10:
         raise InvalidInputError(
             f"grid does not resolve the oscillation: need h <= delta/10, "
-            f"got h = {grid.h:.6g} > delta/10 = {delta / 10:.6g}"
+            f"got h = {h:.6g} > delta/10 = {delta / 10:.6g}"
         )
     problem = ramp_problem(n, n_osc)
-    rhs_dev = float(np.max(np.abs(problem.rhs - ramp_rhs(grid))))
+    rhs_dev = float(np.max(np.abs(problem.rhs - y)))
     sol_dev = float(np.max(np.abs(solve_unregularized(problem) - 1.0)))
     return InstabilityResult(
         rhs_dev=rhs_dev,
@@ -202,12 +186,13 @@ def run_instability_experiment(n: int, n_osc: int) -> InstabilityResult:
     )
 
 
-def regression_functional(density: np.ndarray, grid: Grid) -> float:
-    """Mean of y under the density: the quadrature of y*f(y) over [0, 1].
+def regression_functional(density: np.ndarray) -> float:
+    """Mean of y under the density: the quadrature of y*f(y) on the grid of its length.
 
     This linear functional is insensitive to the oscillatory perturbation
     that wrecks the density itself, which is the heart of the distinction
     between recovering f and recovering a smooth functional of f.
     """
-    density = _vector(density, grid.n, "density")
-    return float(grid.h * np.sum(grid.points * density))
+    y = ramp_rhs(np.size(density))
+    density = _vector(density, y.size, "density")
+    return float((1.0 / y.size) * np.sum(y * density))

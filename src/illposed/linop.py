@@ -133,13 +133,8 @@ class SvdFactors(Record):
         return self.singular_values.size
 
 
-def default_rtol(a: DenseOperator) -> float:
-    """Standard numerical-rank tolerance: max(rows, cols) * machine epsilon."""
-    return max(a.rows, a.cols) * float(np.finfo(float).eps)
-
-
 def _tolerance(a: DenseOperator, rtol: float | None) -> float:
-    rtol = default_rtol(a) if rtol is None else rtol
+    rtol = max(a.rows, a.cols) * float(np.finfo(float).eps) if rtol is None else rtol
     if not 0 <= rtol < math.inf:
         raise InvalidInputError(f"rtol must be >= 0 and finite, got {rtol}")
     return rtol

@@ -147,7 +147,7 @@ def test_criterion_4_oscillatory_instability_numbers():
     result = run_instability_experiment(1000, 8)
     problem = ramp_problem(1000, 8)
     recovered = solve_unregularized(problem)
-    analytic = analytic_perturbed_solution(problem.grid, 8)
+    analytic = analytic_perturbed_solution(1000, 8)
     match = float(np.max(np.abs(recovered - analytic)))
     elapsed = time.perf_counter() - start
 

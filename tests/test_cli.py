@@ -638,7 +638,44 @@ class TestFredholmDemo:
     def test_nonpositive_grid_exit_2(self):
         res = run_cli("fredholm-demo", "--n", "0", "--n-osc", "1")
         assert res.returncode == 2
-        assert "grid size" in res.stderr
+        assert res.stdout == ""
+        assert res.stderr == "error: grid size must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "n, n_osc, message",
+        [
+            (-3, 1, "grid size must be >= 1, got -3"),
+            (0, 0, "n_osc must be a positive integer, got 0"),  # n_osc is checked first
+        ],
+    )
+    def test_invalid_grid_exit_2(self, n, n_osc, message):
+        res = run_cli("fredholm-demo", "--n", str(n), "--n-osc", str(n_osc))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
+    def test_columns_are_the_library_vectors(self, capsys):
+        # bit for bit, through the 17-digit CSV; y and F(y) = y are one array
+        from illposed import fredholm
+
+        capsys.readouterr()
+        assert run(["fredholm-demo", "--n", "64", "--n-osc", "1"]) == 0
+        out = capsys.readouterr().out
+        header, *rows = out[:out.index("{")].splitlines()
+        assert header == "y,F_unperturbed,F_perturbed,f_recovered,f_analytic"
+        fields = [row.split(",") for row in rows]
+        assert all(f[0] == f[1] for f in fields)
+        y = fredholm.ramp_rhs(64)
+        expected = [
+            y,
+            y,
+            fredholm.ramp_rhs(64, 1),
+            fredholm.solve_unregularized(fredholm.ramp_problem(64, 1)),
+            fredholm.analytic_perturbed_solution(64, 1),
+        ]
+        columns = np.array(fields, dtype=float).T
+        for got, want in zip(columns, expected, strict=True):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("flags", [[], ["--lambda", "1e-4"]])
     def test_tau_without_noise_exit_2(self, flags):

@@ -10,7 +10,6 @@ from illposed.errors import InvalidInputError
 from illposed.fileio import matrix_to_csv, vector_to_csv
 from illposed.fredholm import (
     FredholmProblem,
-    Grid,
     analytic_perturbed_solution,
     heaviside_operator,
     oscillation_delta,
@@ -29,13 +28,19 @@ RNG = np.random.default_rng(7)
 
 class TestGrid:
     def test_points_and_spacing(self):
-        g = Grid(4)
-        assert np.allclose(g.points, [0.25, 0.5, 0.75, 1.0])
-        assert np.max(np.abs(np.diff(g.points) - g.h)) < 1e-14
+        y = ramp_rhs(4)
+        assert np.allclose(y, [0.25, 0.5, 0.75, 1.0])
+        assert np.max(np.abs(np.diff(y) - 0.25)) < 1e-14
 
     def test_invalid_size(self):
-        with pytest.raises(InvalidInputError):
-            Grid(0)
+        with pytest.raises(InvalidInputError, match=r"^grid size must be >= 1, got 0$"):
+            ramp_rhs(0)
+
+    def test_negative_size(self):
+        with pytest.raises(InvalidInputError, match=r"^grid size must be >= 1, got -3$"):
+            ramp_rhs(-3)
+        with pytest.raises(InvalidInputError, match=r"^grid size must be >= 1, got -3$"):
+            analytic_perturbed_solution(-3, 8)
 
 
 class TestHeavisideOperator:
@@ -47,9 +52,9 @@ class TestHeavisideOperator:
         # K applied to f = 1 gives the cumulative integral y_i: exact for
         # dyadic h, one ulp of summation error otherwise
         k = heaviside_operator(16)
-        assert np.array_equal(k.matrix @ np.ones(16), Grid(16).points)
+        assert np.array_equal(k.matrix @ np.ones(16), ramp_rhs(16))
         k = heaviside_operator(17)
-        assert np.max(np.abs(k.matrix @ np.ones(17) - Grid(17).points)) < 1e-15
+        assert np.max(np.abs(k.matrix @ np.ones(17) - ramp_rhs(17))) < 1e-15
 
     def test_inverse_recovers_constant(self):
         n = 50
@@ -63,15 +68,14 @@ class TestHeavisideOperator:
 
 class TestPaperRhs:
     def test_unperturbed_is_grid(self):
-        assert np.allclose(ramp_rhs(Grid(4)), [0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(ramp_rhs(4), [0.25, 0.5, 0.75, 1.0])
 
     def test_delta_formula(self):
         assert oscillation_delta(8) == pytest.approx(1.0 / (16.0 * math.pi), rel=1e-15)
         assert oscillation_delta(8) == pytest.approx(0.0198944, abs=1e-7)
 
     def test_perturbation_bounded_by_delta(self):
-        g = Grid(1000)
-        dev = np.abs(ramp_rhs(g, 8) - ramp_rhs(g))
+        dev = np.abs(ramp_rhs(1000, 8) - ramp_rhs(1000))
         assert np.max(dev) <= oscillation_delta(8)
 
     def test_n_osc_validation(self):
@@ -81,25 +85,23 @@ class TestPaperRhs:
 
 class TestAnalyticSolution:
     def test_cosine_extremes(self):
-        g = Grid(2000)
-        f = analytic_perturbed_solution(g, 8)
+        f = analytic_perturbed_solution(2000, 8)
         assert np.max(f) == pytest.approx(2.0, abs=1e-3)
         assert np.min(f) == pytest.approx(0.0, abs=1e-3)
 
     def test_sup_deviation_is_one(self):
-        f = analytic_perturbed_solution(Grid(2000), 8)
+        f = analytic_perturbed_solution(2000, 8)
         assert np.max(np.abs(f - 1.0)) == pytest.approx(1.0, abs=1e-3)
 
     def test_mean_over_whole_interval(self):
         # the cosine completes whole periods on [0, 1], so its grid sum cancels
-        f = analytic_perturbed_solution(Grid(1000), 8)
+        f = analytic_perturbed_solution(1000, 8)
         assert np.mean(f) == pytest.approx(1.0, abs=1e-9)
 
     def test_is_still_a_density(self):
         # 1 + cos(y/delta) keeps mass 1 and stays nonnegative: a proper density
-        g = Grid(1000)
-        f = analytic_perturbed_solution(g, 8)
-        assert g.h * np.sum(f) == pytest.approx(1.0, abs=0.01)
+        f = analytic_perturbed_solution(1000, 8)
+        assert (1.0 / 1000) * np.sum(f) == pytest.approx(1.0, abs=0.01)
         assert np.min(f) == pytest.approx(0.0, abs=0.01)
 
 
@@ -107,12 +109,12 @@ class TestSolve:
     def test_perturbed_matches_analytic(self):
         problem = ramp_problem(1000, 8)
         recovered = solve_unregularized(problem)
-        analytic = analytic_perturbed_solution(problem.grid, 8)
+        analytic = analytic_perturbed_solution(1000, 8)
         assert np.max(np.abs(recovered - analytic)) <= 0.05
 
     def test_small_rhs_change_large_solution_change(self):
         problem = ramp_problem(1000, 8)
-        clean = ramp_rhs(problem.grid)
+        clean = ramp_rhs(1000)
         assert np.max(np.abs(problem.rhs - clean)) <= 0.02
         recovered = solve_unregularized(problem)
         assert np.max(np.abs(recovered - 1.0)) >= 0.9
@@ -121,16 +123,22 @@ class TestSolve:
     def test_round_trip_random_density(self, n):
         k = heaviside_operator(n)
         f = RNG.uniform(0.1, 2.0, size=n)
-        problem = FredholmProblem(Grid(n), k.matrix @ f)
+        problem = FredholmProblem(k.matrix @ f)
         assert np.max(np.abs(solve_unregularized(problem) - f)) < 1e-10
 
     def test_problem_validates_operator_pattern(self):
-        with pytest.raises(InvalidInputError, match=r"^rhs must have shape \(3,\), got \(4,\)$"):
-            FredholmProblem(Grid(3), np.zeros(4))
+        with pytest.raises(InvalidInputError, match=r"^rhs must have shape \(4,\), got \(2, 2\)$"):
+            FredholmProblem(np.zeros((2, 2)))
         with pytest.raises(InvalidInputError, match="n >= 2"):
-            FredholmProblem(Grid(1), np.zeros(1))
+            FredholmProblem(np.zeros(1))
         with pytest.raises(InvalidInputError, match="^rhs must be finite$"):
-            FredholmProblem(Grid(2), np.array([0.0, np.nan]))
+            FredholmProblem(np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    def test_rhs_length_sets_the_operator(self, n):
+        problem = FredholmProblem(RNG.uniform(size=n))
+        assert problem.operator.rows == problem.operator.cols == n
+        assert np.array_equal(problem.operator.matrix, heaviside_operator(n).matrix)
 
     def test_operator_is_built_on_first_read(self):
         problem = ramp_problem(16, 1)
@@ -183,7 +191,7 @@ class TestInstabilityExperiment:
         problem = ramp_problem(1000, 8)
         dense = solve_unregularized(problem)
         assert res.sol_dev == float(np.max(np.abs(dense - 1.0)))
-        assert res.rhs_dev == float(np.max(np.abs(problem.rhs - ramp_rhs(Grid(1000)))))
+        assert res.rhs_dev == float(np.max(np.abs(problem.rhs - ramp_rhs(1000))))
 
     def test_rhs_dev_shrinks_solution_dev_does_not(self):
         # executable form of the divergence: the data perturbation vanishes
@@ -199,34 +207,38 @@ class TestInstabilityExperiment:
 
 class TestRegressionFunctional:
     def test_uniform_density_mean(self):
-        g = Grid(200)
-        assert regression_functional(np.ones(200), g) == pytest.approx(0.5, abs=g.h)
+        assert regression_functional(np.ones(200)) == pytest.approx(0.5, abs=1.0 / 200)
+
+    @pytest.mark.parametrize("n", [1, 2, 200])
+    def test_density_length_sets_the_grid(self, n):
+        # uniform weight 1 on y_i = i/n: the mean is (n + 1) / (2n)
+        assert regression_functional(np.ones(n)) == pytest.approx((n + 1) / (2 * n), rel=1e-14)
 
     def test_insensitive_to_oscillation(self):
         # the density is wildly wrong but its mean is almost unchanged
-        g = Grid(1000)
         f = solve_unregularized(ramp_problem(1000, 8))
         assert np.max(np.abs(f - 1.0)) >= 0.9
-        assert regression_functional(f, g) == pytest.approx(0.5, abs=0.02)
+        assert regression_functional(f) == pytest.approx(0.5, abs=0.02)
 
     def test_point_mass_at_one(self):
         n = 100
-        g = Grid(n)
         density = np.zeros(n)
         density[-1] = n  # unit mass concentrated at y = 1
-        assert regression_functional(density, g) == pytest.approx(1.0, abs=1e-12)
+        assert regression_functional(density) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_density_rejected(self, bad):
         density = np.ones(10)
         density[3] = bad
         with pytest.raises(InvalidInputError, match="^density must be finite$"):
-            regression_functional(density, Grid(10))
+            regression_functional(density)
 
     def test_wrong_shape_rejected(self):
-        message = r"^density must have shape \(10,\), got \(9,\)$"
+        message = r"^density must have shape \(9,\), got \(3, 3\)$"
         with pytest.raises(InvalidInputError, match=message):
-            regression_functional(np.ones(9), Grid(10))
+            regression_functional(np.ones((3, 3)))
+        with pytest.raises(InvalidInputError, match=r"^grid size must be >= 1, got 0$"):
+            regression_functional(np.ones(0))
 
 
 class TestConditioningLink:
@@ -295,8 +307,7 @@ class TestClosedFormSvdCalls:
     @pytest.mark.parametrize("regularize", ["--lambda", "--noise"])
     def test_fredholm_demo_makes_no_lapack_call(self, monkeypatch, capsys, tmp_path, regularize):
         n, n_osc = 1000, 8
-        grid = Grid(n)
-        noise = float(np.linalg.norm(ramp_rhs(grid, n_osc) - ramp_rhs(grid)))
+        noise = float(np.linalg.norm(ramp_rhs(n, n_osc) - ramp_rhs(n)))
         value = "1e-4" if regularize == "--lambda" else repr(noise)
         calls = count_lapack_svd(monkeypatch)
         code = cli.run([
@@ -313,7 +324,7 @@ class TestClosedFormSvdCalls:
         matrix = tmp_path / "cumulative.csv"
         matrix.write_text(matrix_to_csv(heaviside_operator(n).matrix))
         data = tmp_path / "rhs.csv"
-        data.write_text(vector_to_csv(ramp_rhs(Grid(n), 2)))
+        data.write_text(vector_to_csv(ramp_rhs(n, 2)))
         calls = count_lapack_svd(monkeypatch)
         code = cli.run(["solve", str(matrix), str(data), "--method", "tikhonov",
                         "--lambda", "1e-4", "--out", str(tmp_path / "x.csv")])
@@ -341,7 +352,7 @@ class TestTikhonovSupNormFloor:
         best = int(np.argmin(sup))
         assert 0.81 <= sup[best] <= 0.83
         assert 5e-5 <= lams[best] <= 2e-4
-        assert problem.grid.points[np.argmax(deviation[best])] == pytest.approx(15 / 16, abs=2e-3)
+        assert ramp_rhs(1000)[np.argmax(deviation[best])] == pytest.approx(15 / 16, abs=2e-3)
         for i in (0, best, lams.size - 1):
             oracle = tikhonov_solve(problem.operator, problem.rhs, lams[i])
             assert np.max(np.abs(solutions[i] - oracle)) <= 1e-10
