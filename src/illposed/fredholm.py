@@ -55,7 +55,8 @@ class _CumulativeOperator(DenseOperator):
 
     - sigma_k = h / (2 sin((2k-1) c)), nonincreasing in k;
     - U_ik = sqrt(4/(2n+1)) sin(2i(2k-1) c);
-    - V_ik = sqrt(4/(2n+1)) cos((2i-1)(2k-1) c).
+    - V_ik = sqrt(4/(2n+1)) cos((2i-1)(2k-1) c), the same sines a quarter
+      period on: sqrt(4/(2n+1)) sin(((2i-1)(2k-1) + 2n + 1) c).
 
     Both cache stages of :class:`DenseOperator` are replaced: the spectrum
     costs O(n), and the n x n factors are built on first use, never by the
@@ -71,25 +72,18 @@ class _CumulativeOperator(DenseOperator):
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # sin(m c) has period P = 4(2n+1) in the integer m, so every entry is read from one
+        # table of one period at m mod P (no argument past 2 pi); cos(m c) = sin((m + 2n + 1) c)
         n = self.rows
+        period = 4 * (2 * n + 1)
+        sine = np.sin(np.arange(period) * (2.0 * math.pi / period)) * math.sqrt(4.0 / (2 * n + 1))
         odd = np.arange(1, 2 * n, 2)
-        u = _trig_basis(np.sin, odd + 1, odd, n)
-        v = _trig_basis(np.cos, odd, odd, n)
-        return u, self._spectrum, v
-
-
-def _trig_basis(fn, row_mult: np.ndarray, col_mult: np.ndarray, n: int) -> np.ndarray:
-    """Read-only n x n array ``sqrt(4/(2n+1)) * fn(row_mult[i] * col_mult[k] * c)``.
-
-    fn(m c) has period 4(2n+1) in the integer m, so each product is reduced
-    modulo that period and looked up in a table of one period: no argument
-    exceeds 2 pi, and each distinct entry is computed once.
-    """
-    period = 4 * (2 * n + 1)
-    table = fn(np.arange(period) * (2.0 * math.pi / period)) * math.sqrt(4.0 / (2 * n + 1))
-    m = np.multiply.outer(row_mult, col_mult)
-    m %= period
-    return _freeze(table[m])
+        m = np.multiply.outer(odd + 1, odd)  # 2i (2k - 1)
+        m %= period
+        u = _freeze(sine[m])
+        m += 2 * n + 1 - odd  # (2i - 1)(2k - 1) + 2n + 1, never negative
+        m %= period
+        return u, self._spectrum, _freeze(sine[m])
 
 
 def heaviside_operator(n: int) -> DenseOperator:

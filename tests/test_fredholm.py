@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -268,6 +269,20 @@ class TestClosedFormSvd:
         assert np.all(np.diff(s) <= 0)
 
     @pytest.mark.parametrize("n", SIZES)
+    def test_one_sine_table_matches_a_sine_and_a_cosine_table(self, n):
+        # the oracle reads U from a sin table and V from a cos table, each at m mod P
+        period = 4 * (2 * n + 1)
+        angle = np.arange(period) * (2.0 * math.pi / period)
+        scale = math.sqrt(4.0 / (2 * n + 1))
+        odd = np.arange(1, 2 * n, 2)
+        u_oracle = (np.sin(angle) * scale)[np.multiply.outer(odd + 1, odd) % period]
+        v_oracle = (np.cos(angle) * scale)[np.multiply.outer(odd, odd) % period]
+        u, _, v = heaviside_operator(n)._factors
+        assert np.array_equal(u, u_oracle)
+        # V reads sin a quarter period on, not cos: a few ulps of the scale apart
+        assert np.max(np.abs(v - v_oracle)) <= 16 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_condition_number_is_exact(self, n):
         c = math.pi / (2 * (2 * n + 1))
         kappa = diagnose(heaviside_operator(n)).condition_number
@@ -331,6 +346,32 @@ class TestClosedFormSvdCalls:
         assert code == 0
         capsys.readouterr()
         assert svd_kinds(calls) == ["thin"]
+
+    @pytest.mark.parametrize("n, n_osc", [(64, 1), (200, 2)])
+    @pytest.mark.parametrize("regularize", ["--lambda", "--noise"])
+    def test_closed_form_and_lapack_paths_agree(self, capsys, tmp_path, n, n_osc, regularize):
+        # fredholm-demo factors in closed form, solve factors the same matrix through LAPACK
+        rhs = ramp_rhs(n, n_osc)
+        noise = float(np.linalg.norm(rhs - ramp_rhs(n)))
+        value = "1e-4" if regularize == "--lambda" else repr(noise)
+        matrix = tmp_path / "cumulative.csv"
+        matrix.write_text(matrix_to_csv(heaviside_operator(n).matrix))
+        data = tmp_path / "rhs.csv"
+        data.write_text(vector_to_csv(rhs))
+        demo_out, solve_out = tmp_path / "demo.csv", tmp_path / "x.csv"
+        capsys.readouterr()
+        assert cli.run(["fredholm-demo", "--n", str(n), "--n-osc", str(n_osc),
+                        regularize, value, "--out", str(demo_out)]) == 0
+        demo = json.loads(capsys.readouterr().out)
+        assert cli.run(["solve", str(matrix), str(data), "--method", "tikhonov",
+                        regularize, value, "--out", str(solve_out)]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        header, *rows = demo_out.read_text().splitlines()
+        column = header.split(",").index("f_regularized")
+        x_closed = np.array([float(row.split(",")[column]) for row in rows])
+        x_lapack = np.array([float(line) for line in solve_out.read_text().splitlines()])
+        assert np.max(np.abs(x_closed - x_lapack)) <= 1e-12 * np.max(np.abs(x_lapack))
+        assert demo["lambda"] == pytest.approx(solved["parameter"], rel=1e-12, abs=0.0)
 
 
 class TestTikhonovSupNormFloor:
