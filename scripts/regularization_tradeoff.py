@@ -59,7 +59,7 @@ def main() -> None:
     print(f"best sup|f-1| over the sweep: {best[0]:.4f} at lambda = {best[1]:.3e}")
 
     try:
-        lam = discrepancy_select(k, d, noise_level=noise, tau=1.0)
+        lam = discrepancy_select(k, d, noise_level=noise)
         f = tikhonov_solve(k, d, lam)
         print(
             f"discrepancy (target residual = ||e||_2 = {noise:.4f}): lambda = {lam:.3e}, "

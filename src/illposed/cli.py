@@ -78,15 +78,11 @@ def _add_tikhonov_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise", type=float, default=None,
                    help="Euclidean norm of the data error: select the Tikhonov "
                    "weight by the discrepancy principle")
-    p.add_argument("--tau", type=float, default=None,
-                   help="with --noise: discrepancy safety factor (default 1)")
 
 
 def _check_tikhonov_options(args) -> None:
     if args.lam is not None and args.noise is not None:
         raise InvalidInputError("--lambda and --noise are mutually exclusive")
-    if args.tau is not None and args.noise is None:
-        raise InvalidInputError("--tau is read only with --noise")
 
 
 def _tikhonov(args, a, d):
@@ -96,8 +92,7 @@ def _tikhonov(args, a, d):
 
     lam = args.lam
     if lam is None:
-        tau = 1.0 if args.tau is None else args.tau
-        lam = regularization.discrepancy_select(a, d, args.noise, tau)
+        lam = regularization.discrepancy_select(a, d, args.noise)
     return lam, regularization.tikhonov_solve(a, d, lam)
 
 

@@ -70,13 +70,9 @@ def diagnose(
     _check_kappa_threshold(kappa_threshold)
     _, full, rank = _numerical_rank(a, rtol)
     identifiable = rank == a.cols
-    if rank > 0:
-        sigma_max = float(full[0])
-        sigma_min = float(full[rank - 1])
-        condition = sigma_max / sigma_min
-    else:
-        sigma_max = sigma_min = 0.0
-        condition = float("inf")
+    sigma_max = float(full[0])
+    sigma_min = float(full[rank - 1]) if rank else 0.0
+    condition = sigma_max / sigma_min if rank else math.inf
     if not identifiable:
         label = "NON_IDENTIFIABLE"
     elif condition > kappa_threshold:

@@ -249,9 +249,9 @@ def _kernel_classes(domain_size: int, max_codomain: int):
 def check_fisher_consistency_theorem(max_domain: int, max_codomain: int) -> tuple[int, int]:
     """Exhaustively test: a Fisher-consistent estimator exists iff P is injective.
 
-    Returns (maps checked, counterexamples) over every table with domain <=
-    max_domain and codomain <= max_codomain.  A counterexample is a map where
-    existence and injectivity disagree, or whose estimator fails ``T o P = id``.
+    Returns (maps checked, counterexamples) over every table with domain <= max_domain and
+    codomain <= max_codomain.  Existence is decided by is_injective, so only ``T o P = id``
+    can fail here; the tests check the "only if" by searching every T: c -> d.
     """
     checked = counterexamples = 0
     for d in range(1, max_domain + 1):

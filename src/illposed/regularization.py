@@ -73,24 +73,22 @@ def filter_factors(factors: SvdFactors, lam: float) -> np.ndarray:
         return s / (s + lam / s)
 
 
-def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 1.0) -> float:
+def discrepancy_select(a: DenseOperator, data, noise_level: float) -> float:
     """Pick lambda so the Tikhonov residual matches the noise level.
 
-    Solves ``||A x_lam - d|| = tau * noise_level`` (Euclidean norm) by
-    bisection on lam, at the geometric mean of the bracket, over
-    [1e-14 sigma_max^2, sigma_max^2].  The residual norm is monotone
-    nondecreasing in lam, so the bracket is valid; targets outside the
-    attainable residual range raise NoSolutionError.  With no step cap, it
-    stops when the mean no longer lies strictly inside the bracket, after
-    about 60 residual evaluations, and returns the smallest lam of that final
-    bracket, a few ulp wide, whose residual reaches the target.  It runs on
-    d and sigma scaled to unit exponent, so both may have any finite size;
+    Solves ``||A x_lam - d|| = noise_level`` (Euclidean norm).  A safety
+    factor of the discrepancy principle is the caller's product: pass it
+    times the data-error norm.  Bisects lam at the geometric mean of
+    [1e-14 sigma_max^2, sigma_max^2], where the residual is nondecreasing in
+    lam; targets outside its attainable range raise NoSolutionError.  It stops
+    when the mean no longer lies strictly inside the bracket, after about 60
+    residual evaluations, and returns the top of that final bracket, a few
+    ulp wide: the smallest lam found whose residual reaches the target.  d
+    and sigma are scaled to unit exponent, so both may have any finite size;
     only a root lam that is not a normal float raises NumericalFailureError.
     """
     if not 0 < noise_level < math.inf:
         raise InvalidInputError(f"noise_level must be > 0 and finite, got {noise_level}")
-    if not 1 <= tau < math.inf:
-        raise InvalidInputError(f"tau must be >= 1 and finite, got {tau}")
     d = _vector(data, a.rows, "data")
     f = svd(a)
     if f.rank == 0:
@@ -115,11 +113,11 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float, tau: float = 
         with np.errstate(over="ignore"):
             return float(np.ldexp(r, n))
 
-    target = ldexp(tau * noise_level, -e)  # past the float range, unattainable
+    target = ldexp(noise_level, -e)  # past the float range, unattainable
     r_lo, r_hi = residual(lo), residual(hi)
     if not r_lo <= target <= r_hi:
         raise NoSolutionError(
-            f"target residual {tau * noise_level:.6g} outside attainable range "
+            f"target residual {noise_level:.6g} outside attainable range "
             f"[{ldexp(r_lo, e):.6g}, {ldexp(r_hi, e):.6g}]"
         )
     # residual(lo) <= target <= residual(hi) throughout; the bracket holds finitely many floats

@@ -260,7 +260,7 @@ def test_criterion_7b_discrepancy_recovers_sup_norm():
     problem = ramp_problem(1000, 8)
     unreg_dev = float(np.max(np.abs(solve_unregularized(problem) - 1.0)))
     delta = oscillation_delta(8)
-    lam = discrepancy_select(problem.operator, problem.rhs, noise_level=delta, tau=1.0)
+    lam = discrepancy_select(problem.operator, problem.rhs, noise_level=delta)
     regularized = tikhonov_solve(problem.operator, problem.rhs, lam)
     reg_dev = float(np.max(np.abs(regularized - 1.0)))
     ok = unreg_dev >= 0.9 and reg_dev <= 0.5

@@ -319,8 +319,6 @@ class TestSolve:
             (["--method", "tsvd", "--k", "1", "--lambda", "1e-4"], "--lambda is read only"),
             (["--noise", "0.1", "--k", "1"], "--k is read only"),
             (["--method", "none", "--k", "1"], "--k is read only"),
-            (["--tau", "2"], "--tau is read only with --noise"),
-            (["--method", "tikhonov", "--lambda", "1", "--tau", "2"], "--tau is read only"),
         ],
     )
     def test_option_the_method_never_reads_exit_2(self, workdir, flags, message):
@@ -338,7 +336,6 @@ class TestSolve:
             (["--method", "tikhonov", "--lambda", "inf"], "lambda must be >= 0 and finite"),
             (["--noise", "nan"], "noise_level must be > 0 and finite"),
             (["--noise", "inf"], "noise_level must be > 0 and finite"),
-            (["--noise", "0.1", "--tau", "nan"], "tau must be >= 1 and finite"),
         ],
     )
     def test_non_finite_option_exit_2(self, workdir, flags, message):
@@ -350,14 +347,25 @@ class TestSolve:
         assert message in res.stderr
 
     def test_tau_with_noise(self, workdir):
+        # a discrepancy safety factor is the caller's product: 1.5 * 0.1
         res = run_cli(
             "solve", str(workdir / "identity.csv"), str(workdir / "data2.csv"),
-            "--noise", "0.1", "--tau", "1.5",
+            "--noise", "0.15000000000000002",
         )
         assert res.returncode == 0
         report = strict_json("\n".join(res.stdout.splitlines()[2:]))
         assert report["method"] == "tikhonov"
         assert report["residual"] == pytest.approx(0.15, rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [[], ["--noise", "0.1"]])
+    def test_tau_is_unrecognized_exit_2(self, workdir, flags):
+        res = run_cli(
+            "solve", str(workdir / "identity.csv"), str(workdir / "data2.csv"),
+            *flags, "--tau", "1.5",
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "unrecognized arguments: --tau 1.5" in res.stderr
 
     def test_unattainable_noise_exit_2(self, workdir):
         res = run_cli(
@@ -626,9 +634,7 @@ class TestFredholmDemo:
         assert res.returncode == 2
         assert "delta/10" in res.stderr
 
-    @pytest.mark.parametrize(
-        "flags", [["--lambda", "nan"], ["--noise", "inf"], ["--noise", "0.1", "--tau", "nan"]]
-    )
+    @pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--noise", "inf"]])
     def test_non_finite_option_exit_2(self, flags):
         res = run_cli("fredholm-demo", "--n", "200", "--n-osc", "1", *flags)
         assert res.returncode == 2
@@ -677,12 +683,12 @@ class TestFredholmDemo:
         for got, want in zip(columns, expected, strict=True):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("flags", [[], ["--lambda", "1e-4"]])
-    def test_tau_without_noise_exit_2(self, flags):
+    @pytest.mark.parametrize("flags", [[], ["--noise", "0.1"]])
+    def test_tau_is_unrecognized_exit_2(self, flags):
         res = run_cli("fredholm-demo", "--n", "200", "--n-osc", "1", "--tau", "2", *flags)
         assert res.returncode == 2
         assert res.stdout == ""
-        assert "--tau is read only with --noise" in res.stderr
+        assert "unrecognized arguments: --tau 2" in res.stderr
 
 
 class TestInfluence:
@@ -992,7 +998,6 @@ class TestOutputRouting:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["solve", "no_a.csv", "no_d.csv", "--tau", "2"], "--tau is read only with --noise"),
             (["solve", "no_a.csv", "no_d.csv", "--method", "tsvd"], "tsvd requires --k"),
             (
                 ["solve", "no_a.csv", "no_d.csv", "--method", "tikhonov"],
@@ -1021,7 +1026,7 @@ class TestOutputRouting:
             (["influence", "no_f.csv", "--probes", "a:2:2"], "bad --probes"),
             (["influence", "no_f.csv", "--probes", "1:2:x"], "bad --probes"),
         ],
-        ids=["tau", "tsvd-k", "tikhonov-weight", "solve-exclusive", "fredholm-exclusive",
+        ids=["tsvd-k", "tikhonov-weight", "solve-exclusive", "fredholm-exclusive",
              "tsvd-noise", "kappa", "trim-fraction", "functional", "probe-end", "probe-count"],
     )
     def test_option_error_precedes_reading_input(self, tmp_path, args, message):

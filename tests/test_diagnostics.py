@@ -65,6 +65,14 @@ class TestDiagnose:
         assert r.classification == "NON_IDENTIFIABLE"
         assert not r.identifiable
 
+    def test_rank_zero_keeps_its_largest_singular_value(self):
+        # rtol >= 1 keeps no singular value of a nonzero operator
+        r = diagnose(DenseOperator(np.diag([2.0, 1.0])), rtol=1.0)
+        assert r.numerical_rank == 0
+        assert (r.sigma_max, r.sigma_min, r.condition_number) == (2.0, 0.0, math.inf)
+        assert r.classification == "NON_IDENTIFIABLE"
+        assert r.spectrum == (2.0, 1.0)
+
     def test_spectrum_has_discarded_tail(self):
         r = diagnose(DenseOperator(np.diag([1.0, 1e-20])))
         assert r.numerical_rank == 1

@@ -239,6 +239,15 @@ class TestFisherConsistency:
             if t is not None:
                 assert t.after(p) == FiniteMap.identity(3)
 
+    def test_existence_matches_a_search_over_all_maps(self):
+        # theorem 1's "only if" without is_injective: search every T: c -> d
+        # for T o P = identity, over all 494 tables with d, c <= 4
+        for d, c in itertools.product(range(1, 5), repeat=2):
+            ident, candidates = FiniteMap.identity(d), list(all_maps(c, d))
+            for p in all_maps(d, c):
+                found = any(t.after(p) == ident for t in candidates)
+                assert found == (fisher_consistent_estimator(p) is not None), p
+
 
 class TestParameterIdentifiability:
     def test_example_standard(self):

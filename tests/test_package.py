@@ -1,12 +1,15 @@
+import argparse
 import ast
 import importlib.util
 import pathlib
 import re
+import shlex
 import subprocess
 
 import pytest
 
 import illposed
+from illposed import cli
 from launcher import ENV, PYTHON
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -86,6 +89,32 @@ def test_readme_library_example():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "ILL_CONDITIONED\n327\nFalse\nTrue\n"
+
+
+def test_readme_cli_matches_the_parser():
+    # the README names every option of the parser and no other (pip's own
+    # --no-build-isolation aside), and each of its example lines parses
+    parser = cli.build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    readme = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+    assert named - options == set(), "the README names options the parser lacks"
+    assert options - named == set(), "the README leaves parser options undocumented"
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("illposed ")
+    ]
+    assert lines
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_every_public_name_has_a_reader():

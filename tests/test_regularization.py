@@ -179,7 +179,7 @@ class TestDiscrepancy:
         a = DenseOperator(RNG.standard_normal((10, 4)))
         d = a.matrix @ RNG.standard_normal(4) + 0.05 * RNG.standard_normal(10)
         noise = 0.05 * np.sqrt(10)
-        lam = discrepancy_select(a, d, noise_level=noise, tau=1.0)
+        lam = discrepancy_select(a, d, noise_level=noise)
         resid = np.linalg.norm(a.matrix @ tikhonov_solve(a, d, lam) - d)
         assert abs(resid - noise) <= 0.011 * noise
 
@@ -212,16 +212,12 @@ class TestDiscrepancy:
         a = DenseOperator(np.eye(2))
         with pytest.raises(InvalidInputError):
             discrepancy_select(a, np.ones(2), noise_level=0.0)
-        with pytest.raises(InvalidInputError):
-            discrepancy_select(a, np.ones(2), noise_level=0.1, tau=0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_noise_and_tau(self, bad):
+    def test_non_finite_noise(self, bad):
         a = DenseOperator(np.eye(2))
         with pytest.raises(InvalidInputError, match="noise_level must be > 0 and finite"):
             discrepancy_select(a, np.ones(2), noise_level=bad)
-        with pytest.raises(InvalidInputError, match="tau must be >= 1 and finite"):
-            discrepancy_select(a, np.ones(2), noise_level=0.1, tau=bad)
 
 
 class TestRestrictionSequence:
