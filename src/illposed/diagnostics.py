@@ -68,7 +68,7 @@ def diagnose(
     for a values-only SVD.
     """
     _check_kappa_threshold(kappa_threshold)
-    _, full, rank = _numerical_rank(a, rtol)
+    full, rank = _numerical_rank(a, rtol)
     identifiable = rank == a.cols
     sigma_max = float(full[0])
     sigma_min = float(full[rank - 1]) if rank else 0.0
@@ -100,7 +100,7 @@ def bounded_away_from_zero(a: DenseOperator, rtol: float | None = None) -> float
     Exists iff the operator is identifiable, in which case c is the
     smallest retained singular value.
     """
-    _, s, rank = _numerical_rank(a, rtol)
+    s, rank = _numerical_rank(a, rtol)
     if rank != a.cols:
         raise InvalidInputError("operator is not identifiable; no positive lower bound exists")
     return float(s[rank - 1])
@@ -123,7 +123,7 @@ def stability_bound_check(
     """
     theta1 = _vector(theta1, a.cols, "theta1")
     theta2 = _vector(theta2, a.cols, "theta2")
-    _, s, rank = _numerical_rank(a, rtol)
+    s, rank = _numerical_rank(a, rtol)
     if rank != a.cols:
         raise InvalidInputError("stability bound requires an identifiable operator")
     e = math.frexp(float(np.max(np.abs((theta1, theta2)))))[1]

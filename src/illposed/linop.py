@@ -109,24 +109,22 @@ class DenseOperator(Record):
 
 
 class SvdFactors(Record):
-    """Rank-truncated singular value decomposition.
+    """Rank-truncated singular value decomposition: the kept triplets.
 
     ``left_vectors`` (rows x r) and ``right_vectors`` (cols x r) have
-    orthonormal columns; ``singular_values`` (length r) is nonincreasing and
-    every retained value exceeds ``rank_tolerance * sigma_max``.  The tail
-    below the tolerance is kept in ``discarded`` so near rank-deficiency
-    stays visible.
+    orthonormal columns; ``singular_values`` (length r) is nonincreasing.
+    The full spectrum, tail included, is ``diagnose(a, rtol).spectrum``.
     """
 
-    __slots__ = ("left_vectors", "singular_values", "right_vectors", "rank_tolerance", "discarded")
+    __slots__ = ("left_vectors", "singular_values", "right_vectors")
 
-    def __init__(self, left_vectors, singular_values, right_vectors, rank_tolerance, discarded):
-        arrays = (left_vectors, singular_values, right_vectors, discarded)
+    def __init__(self, left_vectors, singular_values, right_vectors):
+        arrays = (left_vectors, singular_values, right_vectors)
         arrays = [np.asarray(x, dtype=float) for x in arrays]  # a caller's array stays its own
-        u, s, v, tail = [_freeze(x.copy() if x.flags.writeable else x) for x in arrays]
+        u, s, v = [_freeze(x.copy() if x.flags.writeable else x) for x in arrays]
         if np.any(np.diff(s) > 0):
             raise InvalidInputError("singular values must be nonincreasing")
-        super().__init__(u, s, v, rank_tolerance, tail)
+        super().__init__(u, s, v)
 
     @property
     def rank(self) -> int:
@@ -140,15 +138,15 @@ def _tolerance(a: DenseOperator, rtol: float | None) -> float:
     return rtol
 
 
-def _numerical_rank(a: DenseOperator, rtol: float | None) -> tuple[float, np.ndarray, int]:
-    """``(rtol, sigma, rank)``: the validated tolerance, the operator's
-    singular values and how many of them exceed ``rtol * sigma_max``.
+def _numerical_rank(a: DenseOperator, rtol: float | None) -> tuple[np.ndarray, int]:
+    """``(sigma, rank)``: the operator's singular values and how many of
+    them exceed ``rtol * sigma_max``.
 
     Reads :attr:`DenseOperator._spectrum`, which is the factors' own sigma
     when the factors came first.
     """
     rtol, s = _tolerance(a, rtol), a._spectrum
-    return rtol, s, int(np.sum(s > rtol * s[0]))
+    return s, int(np.sum(s > rtol * s[0]))
 
 
 def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
@@ -156,9 +154,10 @@ def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
 
     Each operator is factored once and every function here shares that
     factorization, so another ``rtol`` only re-slices it.  Singular values
-    at or below ``rtol * sigma_max`` are moved to the ``discarded`` tail.
-    The retained triplets reconstruct the operator to within
-    ``max(rtol, 1e-10) * sigma_max`` in the max-entry norm.
+    at or below ``rtol * sigma_max`` are dropped; the full spectrum, tail
+    included, is ``diagnose(a, rtol).spectrum``.  The retained triplets
+    reconstruct the operator to within ``max(rtol, 1e-10) * sigma_max`` in
+    the max-entry norm.
 
     Parameters
     ----------
@@ -169,14 +168,8 @@ def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
     """
     rtol = _tolerance(a, rtol)  # before any LAPACK call
     u, _, v = a._factors  # before the rank, so that it reads the factors' own sigma
-    _, s, rank = _numerical_rank(a, rtol)
-    return SvdFactors(
-        left_vectors=u[:, :rank],
-        singular_values=s[:rank],
-        right_vectors=v[:, :rank],
-        rank_tolerance=rtol,
-        discarded=s[rank:],
-    )
+    s, rank = _numerical_rank(a, rtol)
+    return SvdFactors(u[:, :rank], s[:rank], v[:, :rank])
 
 
 def pseudoinverse(a: DenseOperator, rtol: float | None = None) -> DenseOperator:
@@ -211,7 +204,7 @@ def model_resolution(a: DenseOperator, rtol: float | None = None) -> DenseOperat
 
 def is_identifiable_linear(a: DenseOperator, rtol: float | None = None) -> bool:
     """True iff the numerical rank equals the number of columns."""
-    return _numerical_rank(a, rtol)[2] == a.cols
+    return _numerical_rank(a, rtol)[1] == a.cols
 
 
 def null_space(a: DenseOperator, rtol: float | None = None) -> np.ndarray:
@@ -222,7 +215,7 @@ def null_space(a: DenseOperator, rtol: float | None = None) -> np.ndarray:
     """
     rtol = _tolerance(a, rtol)  # before any LAPACK call
     v = a._factors[2]  # before the rank, so that it reads the factors' own sigma
-    return v[:, _numerical_rank(a, rtol)[2] :].copy()
+    return v[:, _numerical_rank(a, rtol)[1] :].copy()
 
 
 def linear_parameter_identifiable(

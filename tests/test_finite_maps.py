@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -421,3 +422,17 @@ def test_theorem1_runs_the_estimator_once_per_kernel_class(monkeypatch):
     assert check_fisher_consistency_theorem(5, 5) == (5699, 0)
     # one call per set partition of each domain size: Bell(1) + ... + Bell(5)
     assert len(calls) == sum(TestKernelPartitionSweep.BELL[:5]) == 75
+
+
+def test_theorem1_sweep_counts_a_wrong_estimator(monkeypatch):
+    # an "inverse" that sends every point to 0 satisfies T o P = id only for
+    # d = 1, so every injective table with d >= 2 is a counterexample
+    monkeypatch.setattr(
+        "illposed.finite_maps.construct_inner_inverse",
+        lambda p: FiniteMap(p.codomain_size, p.domain_size, (0,) * p.codomain_size),
+    )
+    injective = sum(
+        math.perm(c, d) for d, c in itertools.product(range(2, 5), range(1, 5))
+    )
+    assert injective == 74
+    assert check_fisher_consistency_theorem(4, 4) == (494, 74)

@@ -51,12 +51,12 @@ class TestDenseOperator:
 class TestSvd:
     def test_factors_need_a_nonincreasing_spectrum(self):
         with pytest.raises(InvalidInputError, match="^singular values must be nonincreasing$"):
-            SvdFactors(np.eye(2), np.array([1.0, 2.0]), np.eye(2), 0.0, np.array([]))
+            SvdFactors(np.eye(2), np.array([1.0, 2.0]), np.eye(2))
 
     def test_factors_leave_the_callers_arrays_alone(self):
-        arrays = (np.eye(2), np.array([2.0, 1.0]), np.eye(2), np.zeros(0))
-        f = SvdFactors(arrays[0], arrays[1], arrays[2], 0.0, arrays[3])
-        fields = (f.left_vectors, f.singular_values, f.right_vectors, f.discarded)
+        arrays = (np.eye(2), np.array([2.0, 1.0]), np.eye(2))
+        f = SvdFactors(*arrays)
+        fields = (f.left_vectors, f.singular_values, f.right_vectors)
         for mine, field in zip(arrays, fields):
             assert mine.flags.writeable and field is not mine
             assert not field.flags.writeable
@@ -91,10 +91,12 @@ class TestSvd:
         assert np.max(np.abs(f.right_vectors.T @ f.right_vectors - np.eye(3))) < 1e-10
 
     def test_truncation_reports_discarded(self):
-        f = svd(DenseOperator(np.diag([1.0, 1e-13])), rtol=1e-10)
+        a = DenseOperator(np.diag([1.0, 1e-13]))
+        f = svd(a, rtol=1e-10)
         assert f.rank == 1
-        assert np.allclose(f.discarded, [1e-13])
-        assert np.allclose(np.concatenate([f.singular_values, f.discarded]), [1.0, 1e-13])
+        assert np.allclose(f.singular_values, [1.0])
+        # the dropped tail stays visible in the full spectrum
+        assert np.allclose(diagnostics.diagnose(a, rtol=1e-10).spectrum, [1.0, 1e-13])
 
     def test_negative_rtol(self):
         with pytest.raises(InvalidInputError):
@@ -328,7 +330,8 @@ class TestSharedFactorization:
         f = svd(a)
         report = diagnostics.diagnose(a)
         assert svd_kinds(calls) == ["thin"]
-        assert np.array_equal(report.spectrum, np.concatenate([f.singular_values, f.discarded]))
+        assert np.array_equal(report.spectrum[: f.rank], f.singular_values)
+        assert a._factors[1] is a._spectrum
 
     def test_svd_after_diagnose_adopts_its_values(self, monkeypatch):
         a = random_full_rank(6, 6)
@@ -336,7 +339,7 @@ class TestSharedFactorization:
         report = diagnostics.diagnose(a)
         f = svd(a)
         assert svd_kinds(calls) == ["values", "thin"]
-        assert np.array_equal(np.concatenate([f.singular_values, f.discarded]), report.spectrum)
+        assert np.array_equal(f.singular_values, report.spectrum[: f.rank])
         assert a._factors[1] is a._spectrum
 
     def test_diagnose_after_null_space_reuses_its_values(self, monkeypatch):
@@ -396,13 +399,13 @@ class TestSharedFactorization:
     def test_factors_are_read_only(self):
         a = DenseOperator([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         f = svd(a)
-        arrays = (f.left_vectors, f.singular_values, f.right_vectors, f.discarded)
+        arrays = (f.left_vectors, f.singular_values, f.right_vectors)
         before = [x.copy() for x in arrays]
         for x in arrays:
             with pytest.raises(ValueError):
                 x[...] = 7.0
         g = svd(a)
-        after = (g.left_vectors, g.singular_values, g.right_vectors, g.discarded)
+        after = (g.left_vectors, g.singular_values, g.right_vectors)
         assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
     @pytest.mark.parametrize("rows", [6, 4])
@@ -419,7 +422,7 @@ class TestSharedFactorization:
     def test_null_space_complements_right_vectors(self, a):
         f = svd(a)
         basis = null_space(a)
-        sigma_max = np.concatenate([f.singular_values, f.discarded])[0]
+        sigma_max = a._spectrum[0]
         assert basis.shape == (a.cols, a.cols - f.rank)
         assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1])), initial=0.0) < 1e-10
         assert np.linalg.norm(a.matrix @ basis) <= 1e-10 * sigma_max

@@ -49,8 +49,6 @@ def make(name):
             left_vectors=[[1.0], [0.0]],
             singular_values=[2.0],
             right_vectors=[[0.0], [1.0]],
-            rank_tolerance=1e-15,
-            discarded=[0.5],
         ),
         "DiagnosisReport": lambda: DiagnosisReport(
             identifiable=True,
@@ -80,9 +78,7 @@ FIELDS = {
     ),
     "AttackResult": ("y", "achieved", "distance"),
     "DenseOperator": ("matrix",),
-    "SvdFactors": (
-        "left_vectors", "singular_values", "right_vectors", "rank_tolerance", "discarded",
-    ),
+    "SvdFactors": ("left_vectors", "singular_values", "right_vectors"),
     "DiagnosisReport": (
         "identifiable", "numerical_rank", "sigma_max", "sigma_min", "condition_number",
         "stability_constant", "classification", "spectrum", "decay_exponent",
@@ -105,8 +101,7 @@ REPRS = {
     "DenseOperator": "DenseOperator(matrix=array([[1., 2.],\n       [0., 4.]]))",
     "SvdFactors": (
         "SvdFactors(left_vectors=array([[1.],\n       [0.]]), singular_values=array([2.]), "
-        "right_vectors=array([[0.],\n       [1.]]), rank_tolerance=1e-15, "
-        "discarded=array([0.5]))"
+        "right_vectors=array([[0.],\n       [1.]]))"
     ),
     "DiagnosisReport": (
         "DiagnosisReport(identifiable=True, numerical_rank=2, sigma_max=2.0, sigma_min=0.5, "

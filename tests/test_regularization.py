@@ -157,7 +157,7 @@ class TestFilterFactors:
         assert np.array_equal(filter_factors(f, 1.0), [1.0, 1.0])
 
     def test_user_built_zero_sigma(self):
-        f = SvdFactors(np.eye(2), np.array([1.0, 0.0]), np.eye(2), 0.0, np.zeros(0))
+        f = SvdFactors(np.eye(2), np.array([1.0, 0.0]), np.eye(2))
         assert np.array_equal(filter_factors(f, 1.0), [0.5, 0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
