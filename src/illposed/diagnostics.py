@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .linop import DenseOperator, _numerical_rank, _vector, svd
+from .linop import DenseOperator, _numerical_rank, _unit, _vector, svd
 from .records import Record, ValueRecord
 from .regularization import tikhonov_solve
 
@@ -126,9 +126,8 @@ def stability_bound_check(
     s, rank = _numerical_rank(a, rtol)
     if rank != a.cols:
         raise InvalidInputError("stability bound requires an identifiable operator")
-    e = math.frexp(float(np.max(np.abs((theta1, theta2)))))[1]
-    m = np.ldexp(a.matrix, -math.frexp(float(np.max(np.abs(a.matrix))))[1])
-    a1, a2 = m @ np.ldexp(theta1, -e), m @ np.ldexp(theta2, -e)
+    (t1, t2), m = _unit((theta1, theta2))[0], _unit(a.matrix)[0]
+    a1, a2 = m @ t1, m @ t2
     lhs = _relative_change(theta1, theta2, "theta2")
     change = _relative_change(a1, a2, "A theta2") if np.any(a2) else math.inf
     rhs = float(s[0] / s[rank - 1]) * change
@@ -171,8 +170,7 @@ def _relative_change(u: np.ndarray, v: np.ndarray, name: str) -> float:
     """
     if not np.any(v):
         raise InvalidInputError(f"{name} must be nonzero")
-    e = math.frexp(float(np.max(np.abs((u, v)))))[1]
-    u, v = np.ldexp(u, -e), np.ldexp(v, -e)
+    u, v = _unit((u, v))[0]
     norm = math.hypot(*v.tolist())
     return math.hypot(*(u - v).tolist()) / norm if norm else math.inf
 

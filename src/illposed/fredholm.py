@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .linop import DenseOperator, _freeze, _vector
+from .linop import DenseOperator, _adopt, _freeze, _vector
 from .records import Record, ValueRecord
 
 
@@ -39,7 +39,7 @@ class FredholmProblem(Record):
         n = np.size(rhs)
         if n < 2:
             raise InvalidInputError(f"need n >= 2 grid points, got {n}")
-        super().__init__(_freeze(_vector(rhs, n, "rhs").copy()))
+        super().__init__(_adopt(_vector(rhs, n, "rhs")))
 
     @cached_property
     def operator(self) -> DenseOperator:

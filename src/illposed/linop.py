@@ -29,6 +29,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _adopt(x) -> np.ndarray:
+    """``x`` as a read-only C-ordered float array that no caller can write: ``x``
+    itself when neither it nor the ndarray owning its memory is writeable, else a copy."""
+    a = owner = np.asarray(x, dtype=float)
+    while isinstance(owner.base, np.ndarray):  # a view of a read-only array is read-only
+        owner = owner.base
+    return _freeze(a.copy() if owner.flags.writeable or not owner.flags.owndata else a)
+
+
+def _unit(x) -> tuple[np.ndarray, int]:
+    """``(x * 2^-e, e)`` with e the exponent of max |x|: exact, and max |x| lands in [1/2, 1)."""
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    return np.ldexp(x, -e), e
+
+
 def _vector(x, n: int, name: str) -> np.ndarray:
     """``x`` as a float array of shape ``(n,)`` with finite entries.
 
@@ -61,8 +76,8 @@ class DenseOperator(Record):
     Parameters
     ----------
     matrix : array_like
-        Two-dimensional, nonempty, all entries finite.  A read-only float
-        array that owns its memory is adopted as is; anything else is copied.
+        Two-dimensional, nonempty, all entries finite.  Adopted as is when
+        neither it nor the array owning its memory is writeable; else copied.
     """
 
     __slots__ = ("matrix", "__dict__")  # the dict holds the cached factorization
@@ -73,9 +88,7 @@ class DenseOperator(Record):
             raise InvalidInputError(f"operator must be a nonempty 2-D matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("operator entries must be finite (no NaN/Inf)")
-        if a.flags.writeable or not a.flags.owndata:
-            a = a.copy()
-        super().__init__(_freeze(a))
+        super().__init__(_adopt(a))
 
     @property
     def rows(self) -> int:
@@ -119,9 +132,7 @@ class SvdFactors(Record):
     __slots__ = ("left_vectors", "singular_values", "right_vectors")
 
     def __init__(self, left_vectors, singular_values, right_vectors):
-        arrays = (left_vectors, singular_values, right_vectors)
-        arrays = [np.asarray(x, dtype=float) for x in arrays]  # a caller's array stays its own
-        u, s, v = [_freeze(x.copy() if x.flags.writeable else x) for x in arrays]
+        u, s, v = [_adopt(x) for x in (left_vectors, singular_values, right_vectors)]
         if np.any(np.diff(s) > 0):
             raise InvalidInputError("singular values must be nonincreasing")
         super().__init__(u, s, v)
@@ -138,15 +149,15 @@ def _tolerance(a: DenseOperator, rtol: float | None) -> float:
     return rtol
 
 
-def _numerical_rank(a: DenseOperator, rtol: float | None) -> tuple[np.ndarray, int]:
-    """``(sigma, rank)``: the operator's singular values and how many of
-    them exceed ``rtol * sigma_max``.
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """How many of the nonincreasing singular values ``s`` exceed ``rtol * s[0]``."""
+    return int(np.sum(s > rtol * s[0]))
 
-    Reads :attr:`DenseOperator._spectrum`, which is the factors' own sigma
-    when the factors came first.
-    """
+
+def _numerical_rank(a: DenseOperator, rtol: float | None) -> tuple[np.ndarray, int]:
+    """``(sigma, rank)`` from the operator's singular values alone."""
     rtol, s = _tolerance(a, rtol), a._spectrum
-    return s, int(np.sum(s > rtol * s[0]))
+    return s, _rank(s, rtol)
 
 
 def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
@@ -167,8 +178,8 @@ def svd(a: DenseOperator, rtol: float | None = None) -> SvdFactors:
         ``max(rows, cols) * machine epsilon``.
     """
     rtol = _tolerance(a, rtol)  # before any LAPACK call
-    u, _, v = a._factors  # before the rank, so that it reads the factors' own sigma
-    s, rank = _numerical_rank(a, rtol)
+    u, s, v = a._factors
+    rank = _rank(s, rtol)
     return SvdFactors(u[:, :rank], s[:rank], v[:, :rank])
 
 
@@ -214,8 +225,8 @@ def null_space(a: DenseOperator, rtol: float | None = None) -> np.ndarray:
     operator's one shared factorization.
     """
     rtol = _tolerance(a, rtol)  # before any LAPACK call
-    v = a._factors[2]  # before the rank, so that it reads the factors' own sigma
-    return v[:, _numerical_rank(a, rtol)[1] :].copy()
+    _, s, v = a._factors
+    return v[:, _rank(s, rtol) :].copy()
 
 
 def linear_parameter_identifiable(

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidInputError, NoSolutionError, NumericalFailureError
-from .linop import DenseOperator, SvdFactors, _vector, svd
+from .linop import DenseOperator, SvdFactors, _unit, _vector, svd
 
 
 def tikhonov_solve(a: DenseOperator, data, lam: float) -> np.ndarray:
@@ -54,9 +54,9 @@ def _filtered_solve(f: SvdFactors, d: np.ndarray, k: int, lam: float = 0.0) -> n
     # retained sigma are > 0; lam/sigma may overflow to inf, which filters to 0.
     # Solving on d scaled by 2^-e is exact and keeps U^T d in the float range
     s, u, v = f.singular_values[:k], f.left_vectors[:, :k], f.right_vectors[:, :k]
-    e = math.frexp(float(np.max(np.abs(d))))[1]
+    d, e = _unit(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.ldexp(v @ ((u.T @ np.ldexp(d, -e)) / (s + lam / s)), e)
+        x = np.ldexp(v @ ((u.T @ d) / (s + lam / s)), e)
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError(
             "the solution overflows the float range; rescale the operator or the data"
@@ -94,14 +94,13 @@ def discrepancy_select(a: DenseOperator, data, noise_level: float) -> float:
     if f.rank == 0:
         raise InvalidInputError("operator has numerical rank 0; nothing to regularize")
     # mu = lam / 4^k on sigma / 2^k, exact: a normal bracket, and s2 + mu <= 2
-    k = math.frexp(float(f.singular_values[0]))[1]
-    s2 = np.ldexp(f.singular_values, -k) ** 2
+    s, k = _unit(f.singular_values)
+    s2 = s ** 2
     hi = float(s2[0])
     lo = 1e-14 * hi
     # the residual is linear in d: measure it on d and the target scaled by
     # 2^-e, which is exact and keeps U^T d inside the float range
-    e = math.frexp(float(np.max(np.abs(d))))[1]
-    d = np.ldexp(d, -e)
+    d, e = _unit(d)
     beta = f.left_vectors.T @ d
     # component of d outside the retained range contributes a fixed residual
     perp = math.hypot(*(d - f.left_vectors @ beta).tolist())

@@ -634,6 +634,12 @@ class TestFredholmDemo:
         assert res.returncode == 2
         assert "delta/10" in res.stderr
 
+    # n_osc = 8 needs h <= delta/10 = 1/(160 pi), i.e. n >= 503; 300 lies
+    # between delta/10 and delta/5
+    @pytest.mark.parametrize("n, code", [(300, 2), (502, 2), (503, 0)])
+    def test_resolution_guard_is_a_tenth_of_delta(self, capsys, n, code):
+        assert run_in_process(["fredholm-demo", "--n", str(n), "--n-osc", "8"], capsys) == code
+
     @pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--noise", "inf"]])
     def test_non_finite_option_exit_2(self, flags):
         res = run_cli("fredholm-demo", "--n", "200", "--n-osc", "1", *flags)
@@ -905,6 +911,11 @@ class TestFiniteCheck:
         assert report["theorem2_disagreements"] == 0
         assert report["theorem1_maps_checked"] == 3 + 9 + 27 + 2 + 4 + 8 + 1 + 1 + 1
 
+    def test_bounds_default_to_4(self, capsys):
+        assert run(["finite-check"]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert (report["max_domain"], report["max_codomain"]) == (4, 4)
+
     def test_trivial_domain(self):
         res = run_cli("finite-check", "--max-domain", "1", "--max-codomain", "1")
         report = strict_json(res.stdout)
@@ -1049,8 +1060,8 @@ class TestExitCodeContract:
         for args in (["analyze", f], ["solve", f, f], ["influence", f, "--probes", "1:2:3"]):
             assert run_in_process(args, capsys) in (0, 2, 3)
 
-    # any probe range of positive floats, over 2 or 3 atoms with locations
-    # or weights near the top of the float range
+    # any probe range of positive floats and any count up to 12, over 2 or 3
+    # atoms with locations or weights near the top of the float range
     @settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
@@ -1059,7 +1070,7 @@ class TestExitCodeContract:
             st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
             min_size=2, max_size=2, unique=True,
         ).map(sorted),
-        count=st.integers(2, 12),
+        count=st.integers(0, 12),
         atoms=st.lists(
             st.tuples(
                 st.sampled_from([0.0, 1.0, -1.0, 1.7e308, -1.7e308, 1.7976931348623157e308,
@@ -1070,6 +1081,7 @@ class TestExitCodeContract:
         ),
         functional=st.sampled_from(["mean", "median", "trimmed:0.25"]),
     )
+    @example(ends=[1.0, 2.0], count=1, atoms=[(0.0, 0.5), (1.0, 0.5)], functional="mean")
     @example(ends=[1e308, 1.7e308], count=5, atoms=[(0.0, 0.5), (1.0, 0.5)], functional="mean")
     @example(
         ends=[1e308, 1.7e308], count=5, atoms=[(0.0, 0.5), (1.0, 0.5)], functional="trimmed:0.25"
@@ -1149,8 +1161,9 @@ class TestNumpyFree:
             ("missing.csv", "10:1e6:6", 2, "missing.csv"),
             ("dist.csv", "10:1e6", 2, "--probes"),
             ("dist.csv", "1:2:0", 2, "--probes"),
+            ("dist.csv", "1:2:1", 2, "count >= 2"),
         ],
-        ids=["median-jump", "missing-file", "bad-probes", "bad-probe-count"],
+        ids=["median-jump", "missing-file", "bad-probes", "bad-probe-count", "one-probe"],
     )
     def test_influence_error_paths(self, workdir, dist, probes, code, message):
         (workdir / "knife.csv").write_text("0.0,0.5\n10.0,0.5\n")

@@ -81,6 +81,20 @@ class TestDiagnose:
     def test_decay_exponent_none_for_short_spectrum(self):
         assert diagnose(DenseOperator(np.eye(2))).decay_exponent is None
 
+    def test_decay_exponent_from_four_singular_values(self):
+        assert diagnose(DenseOperator(np.diag([4.0, 3.0, 2.0, 1.0]))).decay_exponent is not None
+
+    def test_default_rank_tolerance_is_size_times_eps(self):
+        # the default rtol is 2 eps here, so 3 eps counts and 1.5 eps does not
+        eps = np.finfo(float).eps
+        assert diagnose(DenseOperator(np.diag([1.0, 3 * eps]))).numerical_rank == 2
+        assert diagnose(DenseOperator(np.diag([1.0, 1.5 * eps]))).numerical_rank == 1
+
+    def test_condition_at_the_threshold_is_well_posed(self):
+        a = DenseOperator(np.diag([100.0, 1.0]))
+        assert diagnose(a, kappa_threshold=100).classification == "WELL_POSED"
+        assert diagnose(a, kappa_threshold=99.99).classification == "ILL_CONDITIONED"
+
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_scale_invariance(self, alpha):
         a = np.array([[3.0, 1.0], [0.5, 2.0], [1.0, -1.0]])

@@ -49,6 +49,13 @@ class TestFloatFormatting:
 
 
 class TestCsv:
+    def test_matrix_is_adopted_without_a_copy(self, monkeypatch, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+        loaded = []
+        monkeypatch.setattr(fileio, "_load", lambda *args: loaded.append(_load(*args)) or loaded[0])
+        assert read_matrix_csv(str(path)).matrix is loaded[0]
+
     def test_matrix_round_trip(self, tmp_path):
         m = RNG.standard_normal((4, 3))
         path = tmp_path / "m.csv"

@@ -436,3 +436,21 @@ def test_theorem1_sweep_counts_a_wrong_estimator(monkeypatch):
     )
     assert injective == 74
     assert check_fisher_consistency_theorem(4, 4) == (494, 74)
+
+
+def test_theorem2_sweep_counts_a_wrong_sections_test(monkeypatch):
+    # a sections test that always answers "identifiable" is wrong exactly where
+    # q is not constant on the fibers of P, counted here table by table
+    monkeypatch.setattr("illposed.finite_maps.parameter_identifiable_sections", lambda p, q: True)
+    not_constant = sum(
+        any(
+            p.table[x] == p.table[y] and q.table[x] != q.table[y]
+            for x in range(d)
+            for y in range(x)
+        )
+        for d, cp, cq in itertools.product(range(1, 4), repeat=3)
+        for p in all_maps(d, cp)
+        for q in all_maps(d, cq)
+    )
+    assert not_constant == 756
+    assert check_parameter_equivalence_theorem(3, 3) == (1528, 756)

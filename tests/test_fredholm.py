@@ -141,7 +141,19 @@ class TestSolve:
         assert problem.operator.rows == problem.operator.cols == n
         assert np.array_equal(problem.operator.matrix, heaviside_operator(n).matrix)
 
-    def test_operator_is_built_on_first_read(self):
+    def test_operator_adopts_its_triangle_without_a_copy(self, monkeypatch):
+        made, tri = [], np.tri
+        monkeypatch.setattr(np, "tri", lambda n: made.append(tri(n)) or made[0])
+        assert heaviside_operator(5).matrix is made[0]
+
+    def test_rhs_is_copied_unless_read_only(self):
+        rhs = ramp_rhs(4)
+        problem = FredholmProblem(rhs)
+        rhs[0] = 7.0
+        assert problem.rhs[0] == 0.25 and not problem.rhs.flags.writeable
+        rhs.flags.writeable = False
+        assert FredholmProblem(rhs).rhs is rhs
+
         problem = ramp_problem(16, 1)
         solve_unregularized(problem)
         assert "operator" not in vars(problem)

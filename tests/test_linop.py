@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from illposed import cli, diagnostics, regularization
@@ -47,6 +48,19 @@ class TestDenseOperator:
         with pytest.raises(ValueError):
             a.matrix[0, 0] = 7.0
 
+    def test_adopts_a_read_only_array_that_owns_its_memory(self):
+        m = np.eye(2)
+        m.flags.writeable = False
+        assert DenseOperator(m).matrix is m
+
+    def test_copies_a_read_only_view_of_a_writeable_array(self):
+        base = np.eye(2)
+        view = base[:, :]
+        view.flags.writeable = False
+        a = DenseOperator(view)
+        base[0, 0] = 5.0
+        assert a.matrix[0, 0] == 1.0
+
 
 class TestSvd:
     def test_factors_need_a_nonincreasing_spectrum(self):
@@ -62,6 +76,26 @@ class TestSvd:
             assert not field.flags.writeable
         arrays[0][0, 0] = 7.0
         assert f.left_vectors[0, 0] == 1.0
+
+    @pytest.mark.parametrize("field", range(3))
+    def test_factors_copy_a_read_only_view_of_a_writeable_array(self, field):
+        # the view cannot be written, but its owner can: rewriting the owner
+        # must change neither the vectors nor the checked spectrum
+        arrays = [np.eye(2), np.array([2.0, 1.0]), np.eye(2)]
+        base = arrays[field]
+        arrays[field] = base[:]
+        arrays[field].flags.writeable = False
+        f = SvdFactors(*arrays)
+        base[0] = 0.5
+        assert np.array_equal(f.singular_values, [2.0, 1.0])
+        assert np.array_equal(f.left_vectors, np.eye(2))
+        assert np.array_equal(f.right_vectors, np.eye(2))
+
+    def test_full_rank_factors_share_the_cached_vectors(self):
+        a = random_full_rank(5, 3)
+        f = svd(a)
+        assert np.shares_memory(f.left_vectors, a._factors[0])
+        assert np.shares_memory(f.right_vectors, a._factors[2])
 
     def test_identity_spectrum(self):
         f = svd(DenseOperator(np.eye(3)))
@@ -236,6 +270,11 @@ class TestParameterIdentifiability:
         q = DenseOperator(RNG.standard_normal((2, 3)))
         assert linear_parameter_identifiable(p, q)
 
+    def test_exact_zero_on_the_null_space_meets_a_zero_tolerance(self):
+        # q vanishes on null(P) exactly: max |q N| = 0 <= 0 * ||q||
+        p, q = DenseOperator(np.diag([1.0, 0.0])), DenseOperator([[1.0, 0.0]])
+        assert linear_parameter_identifiable(p, q, rtol=0)
+
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             linear_parameter_identifiable(
@@ -256,6 +295,69 @@ class TestParameterIdentifiability:
             theta2 = theta1 + basis @ RNG.standard_normal(basis.shape[1])
             assert np.linalg.norm(p.matrix @ (theta1 - theta2)) < 1e-10
             assert np.linalg.norm(q_ok.matrix @ (theta1 - theta2)) < 1e-10
+
+
+def exact_rank(rows) -> int:
+    """Rank of an integer matrix by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def integer_rows(rows, cols, bound):
+    return st.lists(
+        st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    ).map(np.array)
+
+
+@st.composite
+def signed_selection(draw, rows, cols):
+    """rows x cols, each row zero or a signed unit vector."""
+    s = np.zeros((rows, cols), dtype=int)
+    for i in range(rows):
+        s[i, draw(st.integers(0, cols - 1))] = draw(st.sampled_from([-1, 0, 1]))
+    return s
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 6 x 6 with entries in [-3, 3], as S B T^T: B is a k x l integer matrix,
+    and the signed selections S and T repeat, negate or zero its rows and columns,
+    so that deficient ranks are common."""
+    m, n, k, l = (draw(st.integers(1, 6)) for _ in range(4))
+    b = draw(integer_rows(k, l, 3))
+    return draw(signed_selection(m, k)) @ b @ draw(signed_selection(n, l)).T
+
+
+class TestExactRankOracle:
+    """The verdicts at the default tolerance against exact rational arithmetic,
+    on operators whose smallest nonzero singular value clears the tolerance 10x."""
+
+    @given(integer_matrices(), st.data())
+    def test_rank_and_parameter_identifiability_are_exact(self, a, data):
+        rank = exact_rank(a.tolist())
+        p = DenseOperator(a)
+        spectrum = diagnostics.diagnose(p).spectrum
+        tolerance = max(a.shape) * np.finfo(float).eps * spectrum[0]
+        assume(rank == 0 or spectrum[rank - 1] > 10 * tolerance)
+        assert diagnostics.diagnose(p).numerical_rank == rank
+        # q in the row space of P about half the time: rank [P; q] = rank P
+        if data.draw(st.booleans()):
+            q = data.draw(integer_rows(1, a.shape[0], 1)) @ a
+        else:
+            q = data.draw(integer_rows(1, a.shape[1], 3))
+        inside = exact_rank(np.vstack([a, q]).tolist()) == rank
+        assert linear_parameter_identifiable(p, DenseOperator(q)) == inside
 
 
 def count_lapack_svd(monkeypatch, fail=False):

@@ -167,3 +167,47 @@ def test_tracer_names_exist():
     from illposed import finite_maps
 
     assert callable(finite_maps.enumerate_sections.cache_info)
+
+
+class ConventionSites(ast.NodeVisitor):
+    """Where each array convention is spelled out, by the innermost enclosing def.
+
+    ``adopt``: a read of an array's ``flags.writeable`` or ``flags.owndata``.
+    ``unit``: ``math.frexp`` of an expression that takes ``np.max``, or
+    ``np.ldexp`` by a negated exponent.
+    """
+
+    def __init__(self, module):
+        self.where, self.sites = [module], {"adopt": set(), "unit": set()}
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        flags = isinstance(node.value, ast.Attribute) and node.value.attr == "flags"
+        if flags and node.attr in ("writeable", "owndata") and isinstance(node.ctx, ast.Load):
+            self.sites["adopt"].add(".".join(self.where))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = ast.unparse(node.func)
+        frexp_of_max = func == "math.frexp" and "np.max(" in ast.unparse(node)
+        if frexp_of_max or (func == "np.ldexp" and ast.unparse(node.args[-1]).startswith("-")):
+            self.sites["unit"].add(".".join(self.where))
+        self.generic_visit(node)
+
+
+def test_each_array_convention_has_one_spelling():
+    # an incoming array becomes a field only through linop._adopt, and a vector
+    # is scaled to unit exponent only by linop._unit
+    sites = {"adopt": set(), "unit": set()}
+    for path in sorted((ROOT / "src" / "illposed").glob("*.py")):
+        visitor = ConventionSites(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        for kind, found in visitor.sites.items():
+            sites[kind] |= found
+    assert sites == {"adopt": {"linop._adopt"}, "unit": {"linop._unit"}}
